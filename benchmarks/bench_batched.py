@@ -1,15 +1,15 @@
-"""PERF-BATCH: batched grid evaluation vs the per-point scalar loop.
+"""PERF-BATCH: batched grid evaluation vs the per-point loop.
 
 Times the two ways of answering a ``(N, k)`` detection-probability grid
-on the paper's validation scenario:
+on the paper's validation scenario, both on the one M-S-approach engine:
 
-* **scalar** — one :class:`repro.core.markov_spatial.MarkovSpatialAnalysis`
-  per point, the pre-batching sweep cost (stage pmfs cache-assisted, the
-  convolution chain re-run per point);
-* **batched** — one
-  :class:`repro.core.batched.BatchedMarkovSpatialAnalysis` call for the
-  whole grid (stacked stage pmfs, exponentiation-by-squaring body power,
-  every ``k`` from one survival function).
+* **scalar** — one singleton
+  :class:`repro.core.markov_spatial.MarkovSpatialAnalysis` call per point
+  (the distribution stack is cached per ``N``, so a new ``k`` at a seen
+  ``N`` is a survival lookup);
+* **batched** — one ``detection_probability_grid`` call for the whole
+  grid (stacked stage pmfs, exponentiation-by-squaring body power, every
+  ``k`` from one survival function).
 
 Both passes start from a cold analysis cache.  At the full grid
 (``REPRO_BENCH_GRID`` = 16, i.e. 256 points) the batched path must be
@@ -37,8 +37,8 @@ from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.experiments.presets import onr_scenario
 from repro.experiments.records import ExperimentRecord
 
-#: Parity bound between the two paths (the batched kernel reassociates
-#: the body convolutions, so agreement is to rounding, not bitwise).
+#: Parity bound between the two paths (one engine, batch-invariant
+#: kernels: they agree bitwise, well inside the bound).
 PARITY_ATOL = 1e-12
 
 #: Required speedup at the full 256-point grid.

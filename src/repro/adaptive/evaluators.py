@@ -15,7 +15,7 @@ Exactness contract
 
 Every backend must return values **bitwise identical** to the batched
 grid the dense scans read.  That holds because all of them bottom out in
-:class:`repro.core.batched.BatchedMarkovSpatialAnalysis`, whose kernels
+:class:`repro.core.markov_spatial.MarkovSpatialAnalysis`, whose kernels
 are batch-invariant (a singleton evaluation equals the matching grid
 cell byte-for-byte), and because the distributed wire format round-trips
 floats exactly (JSON ``repr``).  ``tests/integration/
@@ -42,8 +42,8 @@ import numpy as np
 
 from repro.adaptive.ledger import EvaluationLedger
 from repro.cache import AnalysisCache, analysis_cache, design_point_key
-from repro.core.batched import BatchedMarkovSpatialAnalysis
 from repro.core.kernels import resolve_backend
+from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError
 
@@ -191,7 +191,7 @@ class InProcessEvaluator(Evaluator):
             target = (
                 scenario.replace(**replacements) if replacements else scenario
             )
-            engine = BatchedMarkovSpatialAnalysis(
+            engine = MarkovSpatialAnalysis(
                 target,
                 body_truncation=self.truncation,
                 head_truncation=self.head_truncation,
@@ -214,7 +214,7 @@ class InProcessEvaluator(Evaluator):
         num_sensors: Optional[Sequence[int]],
         thresholds: Optional[Sequence[int]],
     ) -> np.ndarray:
-        return BatchedMarkovSpatialAnalysis(
+        return MarkovSpatialAnalysis(
             scenario,
             body_truncation=self.truncation,
             head_truncation=self.head_truncation,

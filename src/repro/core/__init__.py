@@ -9,9 +9,9 @@ Public entry points:
 * :class:`~repro.core.spatial.SApproach` — the exact-but-expensive
   S-approach (Section 3.3).
 * :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` — the
-  M-S-approach, the paper's headline method (Section 3.4).
-* :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis` — the same
-  model evaluated over whole ``(N, k)`` grids in stacked kernels.
+  M-S-approach, the paper's headline method (Section 3.4), for one point
+  or a whole ``(N, k)`` grid in stacked kernels
+  (``BatchedMarkovSpatialAnalysis`` is the same class).
 * :class:`~repro.core.exact_spatial.ExactSpatialAnalysis` — untruncated
   exact reference (our addition; see DESIGN.md).
 * :class:`~repro.core.multinode.MultiNodeAnalysis` — the ">= k reports from

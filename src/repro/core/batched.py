@@ -1,44 +1,58 @@
-"""Batched M-S-approach evaluation: whole scenario grids in stacked kernels.
+"""The M-S-approach engine (Section 3.4): one implementation of Eqs. 12-13.
 
-The paper's closing claim is that the analytical model answers deployment
-sizing questions "without running extensive simulations" (Eqs. 12-13).
-:class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` makes one such
-answer cheap; this module makes a *grid* of them cheap.  For scenarios
+The ARegion is processed one NEDR per period.  Each stage's report-count
+pmf is computed over at most ``gh`` (Head) or ``g`` (Body/Tail) sensors in
+that NEDR, and a counting Markov chain accumulates the total:
+
+* **Head stage** — period 1, NEDR is the whole first DR, subareas
+  ``AreaH(i)`` (Eq. 6), truncation ``gh``;
+* **Body stage** — periods ``2 .. M - ms``, crescent NEDR of area
+  ``2*Rs*V*t``, subareas ``AreaB(i)`` (Eq. 8), truncation ``g``, all
+  ``M - ms - 1`` steps share one transition matrix;
+* **Tail stage** — periods ``M - ms + 1 .. M``, same NEDR area but subareas
+  ``AreaT_j(i)`` (Eq. 10), one distinct matrix per step.
+
+``Result = u * TH * TB^(M-ms-1) * prod_j TT_j`` (Eq. 12), and the detection
+probability normalises by the captured mass (Eq. 13).  Every transition
+matrix is a pure counting shift, so the product is a chain of stage-pmf
+convolutions; the literal matrix product survives only as an oracle
+(:func:`repro.markov.counting.ms_chain_distribution`).
+
+The engine evaluates whole ``(N, k)`` grids at once.  For scenarios
 sharing their geometry (``Rs``, ``V * t``, ``M``) and detection physics
 (``Pd``, field area, truncations), the analysis factorises:
 
 * the region decomposition (Eqs. 6/8/10) and the *conditional* per-sensor
   report pmfs depend on neither ``N`` nor ``k`` — computed once per grid;
 * the occupancy binomials (Eqs. 7/9's truncated ``Binomial(N, area/S)``)
-  are evaluated for every ``N`` at once via vectorised log-gamma — no
-  per-point object construction;
-* the Body stage's ``TB^(M-ms-1)`` power (Eq. 12) is applied by
+  are evaluated for every ``N`` at once via vectorised log-gamma;
+* the Body stage's ``TB^(M-ms-1)`` power is applied by
   exponentiation-by-squaring on the convolution representation —
-  ``O(log body_steps)`` stacked convolutions instead of ``O(body_steps)``
-  per-point ``np.convolve`` chains;
+  ``O(log body_steps)`` stacked convolutions;
 * every threshold ``k`` is answered from *one* survival function per
-  scenario (a reverse cumulative sum), instead of one full pipeline per
-  ``k``.
+  scenario (a reverse cumulative sum).
 
-Batch invariance and kernel backends
+A single question is the ``1 x 1`` grid: the singleton accessors
+(:meth:`MarkovSpatialAnalysis.detection_probability`, the stage pmfs and
+accuracies) are views of the template-``N`` row.
+
+One engine, the same bits everywhere
 ------------------------------------
 
 Every kernel reduction runs in a fixed per-row order that does not depend
 on the batch shape, so a grid evaluation and a sequence of singleton
-evaluations produce **bitwise identical** values row by row.
-``repro.experiments.sweeps`` relies on this: its batched and per-point
-dispatch paths must produce byte-identical checkpoint and record JSON.
-The convolutions themselves are dispatched through
-:mod:`repro.core.kernels` under a ``backend=`` seam (``reference`` |
-``fft`` | ``auto`` | ``numba``): every backend computes rows
-independently, so batch invariance holds under all of them, but only
-``reference`` (and the jitted ``numba`` mirror of it) is bitwise-stable
-across releases — the FFT path re-associates the sums and agrees with the
-reference to its guarded round-off bound (< 1e-13 per call) instead.
-Against the scalar :class:`MarkovSpatialAnalysis` the convolution
-*association* differs under every backend (squaring vs sequential), so
-agreement there is to rounding error —
-``tests/property/test_prop_batched.py`` pins the deviation at 1e-12.
+evaluations produce **bitwise identical** values row by row.  Since
+``/analyze``, ``/sweep``, the design queries, the sweeps and the figures
+all call this one class, the same question gets the same bits from every
+entry point (pinned in ``tests/integration/test_sweep_matrix.py``).
+The convolutions are dispatched through :mod:`repro.core.kernels` under a
+``backend=`` seam (``reference`` | ``fft`` | ``auto`` | ``numba``): every
+backend computes rows independently, so batch invariance holds under all
+of them, but only ``reference`` (and the jitted ``numba`` mirror of it)
+is bitwise-stable across releases — the FFT path re-associates the sums
+and agrees with the reference to its guarded round-off bound (< 1e-13 per
+call) instead.  ``tests/property/test_prop_batched.py`` pins the engine
+to the Eq. 12 matrix oracle at 1e-12.
 
 The per-``N`` report-count distributions are memoized in
 :func:`repro.cache.analysis_cache` under :func:`repro.cache.grid_key`
@@ -71,6 +85,7 @@ from repro.errors import AnalysisError
 
 __all__ = [
     "BatchedMarkovSpatialAnalysis",
+    "MarkovSpatialAnalysis",
     "batched_binomial_pmf",
     "batch_convolve",
     "batch_convolve_power",
@@ -151,21 +166,31 @@ def _int_axis(values: Iterable, name: str, minimum: int) -> np.ndarray:
     return np.asarray(out, dtype=int)
 
 
-class BatchedMarkovSpatialAnalysis:
-    """M-S-approach analysis of ``P_M[X >= k]`` over ``(N, k)`` grids.
+class MarkovSpatialAnalysis:
+    """M-S-approach analysis of ``P_M[X >= k]``, one point or a whole grid.
 
     The template ``scenario`` supplies the geometry (``Rs``, ``V``, ``t``,
     ``M``), the detection physics (``Pd``, field), and the *default*
     ``N``/``k`` when an axis is omitted; the grid methods broadcast over
-    explicit ``num_sensors`` and ``thresholds`` axes.  Construction
-    mirrors :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis`
-    (same truncations, same ``substeps`` refinement, same ``M > ms``
-    requirement) and the results match it point-by-point to 1e-12.
+    explicit ``num_sensors`` and ``thresholds`` axes, and the singleton
+    accessors answer at the template's ``N``.
 
-    ``backend`` selects the convolution kernel (see
-    :mod:`repro.core.kernels`): ``None`` (the default) defers to the
-    process-wide default at evaluation time, so a CLI-level
-    ``--backend`` choice reaches engines constructed anywhere below it.
+    Args:
+        scenario: the model parameters; requires ``M > ms`` (the general
+            case the paper analyses).
+        body_truncation: ``g`` — maximum sensors per Body/Tail NEDR
+            considered.  The paper uses 3 for all reported results.
+        head_truncation: ``gh`` — maximum sensors in the Head NEDR;
+            defaults to ``body_truncation``.
+        substeps: split each NEDR into this many equal-probability slices
+            and convolve per-slice pmfs — the refinement Section 3.4.5
+            sketches ("further dividing the computation in that step into
+            multiple substeps") to reach a given accuracy with a smaller
+            per-slice truncation.  1 (default) is the paper's base method.
+        backend: the convolution kernel (see :mod:`repro.core.kernels`);
+            ``None`` (the default) defers to the process-wide default at
+            evaluation time, so a CLI-level ``--backend`` choice reaches
+            engines constructed anywhere below it.
 
     Raises:
         AnalysisError: on invalid truncations, ``substeps < 1``,
@@ -197,7 +222,8 @@ class BatchedMarkovSpatialAnalysis:
             raise AnalysisError(
                 f"the M-S-approach stage decomposition requires M > ms "
                 f"(M={scenario.window}, ms={scenario.ms}); use "
-                "ExactSpatialAnalysis for short windows"
+                "ExactSpatialAnalysis, whose window_regions generalisation "
+                "handles short windows"
             )
         self._scenario = scenario
         self._g = body_truncation
@@ -243,8 +269,7 @@ class BatchedMarkovSpatialAnalysis:
     ) -> np.ndarray:
         """``(B, L)`` stage pmfs for one NEDR, one row per ``N``.
 
-        Row ``b`` equals the scalar
-        :func:`repro.core.report_dist.stage_report_pmf` for
+        Row ``b`` is :func:`repro.core.report_dist.stage_report_pmf` for
         ``num_sensors = counts[b]``: the conditional per-sensor pmf and
         its ``n``-fold convolutions are shared across rows (they do not
         depend on ``N``); only the occupancy binomial mixing weights vary.
@@ -274,7 +299,16 @@ class BatchedMarkovSpatialAnalysis:
         counts: np.ndarray,
         backend: str,
     ) -> np.ndarray:
-        """Stage pmf stack, sliced ``substeps`` ways like the scalar path."""
+        """Stage pmf stack, optionally assembled from equal-probability slices.
+
+        With ``substeps = Q > 1`` the NEDR is cut into ``Q`` slices of
+        area ``area / Q`` each (a uniform sensor is in a given slice with
+        probability ``area / (Q * S)``, independently per the model's
+        occupancy approximation); the stage pmf is the Q-fold convolution
+        of per-slice pmfs truncated at the same ``g`` — capturing up to
+        ``Q * g`` sensors per NEDR for the price of the small per-slice
+        enumeration.
+        """
         if self._substeps == 1:
             return self._assembled_stage_pmf(subareas, truncation, counts)
         slice_pmf = self._assembled_stage_pmf(
@@ -286,6 +320,53 @@ class BatchedMarkovSpatialAnalysis:
         for _ in range(self._substeps - 1):
             combined = batch_convolve(combined, slice_pmf, backend=backend)
         return combined
+
+    def _template_stage_pmf(
+        self, subareas: np.ndarray, truncation: int
+    ) -> np.ndarray:
+        """One stage pmf at the template ``N`` (row 0 of a 1-row stack)."""
+        return self._batched_stage_pmf(
+            subareas,
+            truncation,
+            self._num_sensors_axis(None),
+            resolve_backend(self._backend),
+        )[0]
+
+    def head_stage_pmf(self) -> np.ndarray:
+        """``p_{h:m}``: report pmf of the Head NEDR (substochastic)."""
+        return self._template_stage_pmf(head_subareas(self._scenario), self._gh)
+
+    def body_stage_pmf(self) -> np.ndarray:
+        """``p_{b:m}``: report pmf of one Body NEDR (substochastic)."""
+        return self._template_stage_pmf(body_subareas(self._scenario), self._g)
+
+    def tail_stage_pmf(self, tail_index: int) -> np.ndarray:
+        """``p_{tj:m}``: report pmf of Tail NEDR ``T_j`` (substochastic)."""
+        return self._template_stage_pmf(
+            tail_subareas(self._scenario, tail_index), self._g
+        )
+
+    # ------------------------------------------------------------------
+    # Accuracy (Eqs. 7, 9, 14)
+    # ------------------------------------------------------------------
+
+    def head_stage_accuracy(self) -> float:
+        """``xi_h`` (Eq. 7): probability of at most ``gh`` sensors in the Head NEDR."""
+        return float(self.head_stage_pmf().sum())
+
+    def body_stage_accuracy(self) -> float:
+        """``xi`` (Eq. 9): probability of at most ``g`` sensors in a Body NEDR."""
+        return float(self.body_stage_pmf().sum())
+
+    def analysis_accuracy(self) -> float:
+        """``eta_MS = xi_h * xi^(M-1)`` (Eq. 14).
+
+        The paper notes this is a *lower bound* on the achieved accuracy
+        once the Eq. 13 normalisation is applied.
+        """
+        return self.head_stage_accuracy() * self.body_stage_accuracy() ** (
+            self._scenario.window - 1
+        )
 
     # ------------------------------------------------------------------
     # Grid evaluation
@@ -351,6 +432,12 @@ class BatchedMarkovSpatialAnalysis:
             lambda: self._compute_distributions(counts, backend),
         )
 
+    def report_count_distribution(self) -> np.ndarray:
+        """The (substochastic) pmf of the total report count after ``M``
+        periods at the template ``N`` — row 0 of
+        :meth:`report_count_distributions` (read-only)."""
+        return self.report_count_distributions()[0]
+
     def survival_grid(self, num_sensors=None) -> np.ndarray:
         """``(B, L)`` survival functions: ``surv[b, k] = P_M[X >= k]``.
 
@@ -379,9 +466,9 @@ class BatchedMarkovSpatialAnalysis:
 
         Returns:
             Array of shape ``(len(num_sensors), len(thresholds))``; entry
-            ``[i, j]`` equals the scalar
+            ``[i, j]`` is bitwise equal to the singleton
             ``MarkovSpatialAnalysis(scenario.replace(num_sensors=N_i))
-            .detection_probability(threshold=k_j)`` to 1e-12.
+            .detection_probability(threshold=k_j)``.
 
         Raises:
             AnalysisError: on invalid axis values, or — with
@@ -408,9 +495,15 @@ class BatchedMarkovSpatialAnalysis:
         total = distributions.sum(axis=1)
         empty = np.flatnonzero(total <= 0.0)
         if empty.size:
+            # Name the counts in the shape the caller gave them.
+            shown = (
+                self._scenario.num_sensors
+                if num_sensors is None
+                else counts[empty].tolist()
+            )
             raise AnalysisError(
                 "captured probability mass is zero for num_sensors="
-                f"{counts[empty].tolist()}: body_truncation g={self._g}, "
+                f"{shown}: body_truncation g={self._g}, "
                 f"head_truncation gh={self._gh} (substeps="
                 f"{self._substeps}) admit no sensor configuration across "
                 f"the {self._scenario.window} stages; increase the "
@@ -423,19 +516,27 @@ class BatchedMarkovSpatialAnalysis:
         threshold: Optional[int] = None,
         normalize: bool = True,
     ) -> float:
-        """Singleton convenience: one ``(N, k)`` point as a float.
+        """``P_M[X >= k]`` (Eq. 13) at the template ``N``, as a float.
 
         Evaluates the same kernel on a 1x1 grid, so the value is bitwise
-        identical to the corresponding grid entry.
+        identical to the corresponding grid entry, and ``threshold`` is
+        validated like a grid axis entry.
+
+        Args:
+            threshold: ``k``; defaults to the scenario's threshold.
+            normalize: divide the tail mass by the captured total mass
+                (``sum`` in Eq. 13).  ``False`` reproduces Fig. 9(b).
         """
-        k = self._scenario.threshold if threshold is None else threshold
-        if k < 0:
-            raise AnalysisError(f"threshold must be non-negative, got {k}")
+        thresholds = None if threshold is None else [threshold]
         return float(
             self.detection_probability_grid(
-                thresholds=[int(k)], normalize=normalize
+                thresholds=thresholds, normalize=normalize
             )[0, 0]
         )
+
+
+#: The grid methods' historical name; the same class.
+BatchedMarkovSpatialAnalysis = MarkovSpatialAnalysis
 
 
 def detection_probability_grid(
@@ -449,8 +550,8 @@ def detection_probability_grid(
     backend: Optional[str] = None,
 ) -> np.ndarray:
     """Functional form of
-    :meth:`BatchedMarkovSpatialAnalysis.detection_probability_grid`."""
-    return BatchedMarkovSpatialAnalysis(
+    :meth:`MarkovSpatialAnalysis.detection_probability_grid`."""
+    return MarkovSpatialAnalysis(
         scenario,
         body_truncation=body_truncation,
         head_truncation=head_truncation,

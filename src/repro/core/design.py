@@ -10,10 +10,10 @@ All searches are over integers and use the model's monotonicities
 (detection probability is non-decreasing in ``N`` and non-increasing in
 ``k``), which the test suite pins down.  Candidate ranges are evaluated
 through the :mod:`repro.adaptive.evaluators` seam — by default an
-in-process :class:`repro.core.batched.BatchedMarkovSpatialAnalysis`
+in-process :class:`repro.core.markov_spatial.MarkovSpatialAnalysis`
 evaluating whole ``N`` chunks (or the whole ``k`` axis, answered from
-one survival function) per kernel call instead of one scalar pipeline
-per candidate.  Passing ``evaluator=`` redirects the same scans through
+one survival function) per kernel call instead of one pipeline per
+candidate.  Passing ``evaluator=`` redirects the same scans through
 the point cache or the distributed fleet, and charges their dense cost
 to the evaluator's ledger — which is how the oracle-equivalence tier
 compares them against :mod:`repro.adaptive.search`, the bisection layer
@@ -30,8 +30,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batched import BatchedMarkovSpatialAnalysis
 from repro.core.false_alarms import minimum_safe_threshold
+from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError
 
@@ -72,12 +72,10 @@ def detection_probability(
 ) -> float:
     """Model detection probability for a scenario (M-S-approach, Eq. 13).
 
-    Evaluated on the batched kernel (singleton grid), so design-layer
-    numbers are bitwise consistent with sweep rows; agreement with the
-    scalar :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` is
-    to 1e-12.
+    The singleton form of the one engine, so design-layer numbers are
+    bitwise equal to ``/analyze`` answers and sweep rows.
     """
-    return BatchedMarkovSpatialAnalysis(
+    return MarkovSpatialAnalysis(
         scenario, body_truncation=truncation, backend=backend
     ).detection_probability()
 

@@ -33,7 +33,7 @@ seam that selects *how* they run:
 
 The process-wide default backend (:func:`set_default_backend`, surfaced
 as the CLI's ``--backend``) is what
-:class:`~repro.core.batched.BatchedMarkovSpatialAnalysis` uses when
+:class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` uses when
 constructed without an explicit ``backend=``.  Dispatch decisions are
 counted into the active instrumentation: ``kernel.fft_dispatch`` (calls
 routed to the FFT), ``kernel.fallbacks`` (guard-triggered reference

@@ -1,288 +1,22 @@
 """The M-S-approach (Section 3.4): the paper's headline contribution.
 
-The ARegion is processed one NEDR per period.  Each stage's report-count
-pmf is computed over at most ``gh`` (Head) or ``g`` (Body/Tail) sensors in
-that NEDR, and a counting Markov chain accumulates the total:
-
-* **Head stage** — period 1, NEDR is the whole first DR, subareas
-  ``AreaH(i)`` (Eq. 6), truncation ``gh``;
-* **Body stage** — periods ``2 .. M - ms``, crescent NEDR of area
-  ``2*Rs*V*t``, subareas ``AreaB(i)`` (Eq. 8), truncation ``g``, all
-  ``M - ms - 1`` steps share one transition matrix;
-* **Tail stage** — periods ``M - ms + 1 .. M``, same NEDR area but subareas
-  ``AreaT_j(i)`` (Eq. 10), one distinct matrix per step.
-
-``Result = u * TH * TB^(M-ms-1) * prod_j TT_j`` (Eq. 12), and the detection
-probability normalises by the captured mass (Eq. 13).  Because every
-transition matrix is a pure counting shift, the same result is obtained by
-convolving the per-stage pmfs; both engines are implemented
-(``method='matrix'`` / ``method='convolution'``) and tested to agree.
+This is the paper-facing import path of the one engine that computes it,
+:class:`repro.core.batched.MarkovSpatialAnalysis` (see that module for the
+Head/Body/Tail stage decomposition, Eq. 12 and Eq. 13).  ``/analyze``,
+``/sweep``, the design queries, sweeps and figures all run that class, so
+they return the same bits for the same question.  The literal Eq. 12
+matrix product is an oracle only:
+:func:`repro.markov.counting.ms_chain_distribution`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+# The stage helpers stay module attributes here: ``perfbench/tracing.py``
+# patches them per module to attribute time to layers.
+import numpy as np  # noqa: F401
 
-import numpy as np
+from repro.core.batched import BatchedMarkovSpatialAnalysis, MarkovSpatialAnalysis
+from repro.core.regions import body_subareas, head_subareas, tail_subareas  # noqa: F401
+from repro.core.report_dist import stage_report_pmf  # noqa: F401
 
-from repro.cache import cached_array, pmf_key
-from repro.core.regions import body_subareas, head_subareas, tail_subareas
-from repro.core.report_dist import stage_report_pmf
-from repro.core.scenario import Scenario
-from repro.errors import AnalysisError
-from repro.markov.counting import counting_transition_matrix
-
-__all__ = ["MarkovSpatialAnalysis"]
-
-
-class MarkovSpatialAnalysis:
-    """M-S-approach analysis of ``P_M[X >= k]``.
-
-    Args:
-        scenario: the model parameters; requires ``M > ms`` (the general
-            case the paper analyses).
-        body_truncation: ``g`` — maximum sensors per Body/Tail NEDR
-            considered.  The paper uses 3 for all reported results.
-        head_truncation: ``gh`` — maximum sensors in the Head NEDR;
-            defaults to ``body_truncation``.
-        substeps: split each NEDR into this many equal-probability slices
-            and convolve per-slice pmfs — the refinement Section 3.4.5
-            sketches ("further dividing the computation in that step into
-            multiple substeps") to reach a given accuracy with a smaller
-            per-slice truncation.  1 (default) is the paper's base method.
-
-    Raises:
-        AnalysisError: on invalid truncations, ``substeps < 1``, or
-            ``M <= ms``.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        body_truncation: int = 3,
-        head_truncation: Optional[int] = None,
-        substeps: int = 1,
-    ):
-        if body_truncation < 1:
-            raise AnalysisError(
-                f"body_truncation must be >= 1, got {body_truncation}"
-            )
-        head_truncation = (
-            body_truncation if head_truncation is None else head_truncation
-        )
-        if head_truncation < 1:
-            raise AnalysisError(
-                f"head_truncation must be >= 1, got {head_truncation}"
-            )
-        if substeps < 1:
-            raise AnalysisError(f"substeps must be >= 1, got {substeps}")
-        if not scenario.has_body_stage:
-            raise AnalysisError(
-                f"the M-S-approach stage decomposition requires M > ms "
-                f"(M={scenario.window}, ms={scenario.ms}); use "
-                "ExactSpatialAnalysis, whose window_regions generalisation "
-                "handles short windows"
-            )
-        self._scenario = scenario
-        self._g = body_truncation
-        self._gh = head_truncation
-        self._substeps = substeps
-
-    # ------------------------------------------------------------------
-    # Parameters
-    # ------------------------------------------------------------------
-
-    @property
-    def scenario(self) -> Scenario:
-        """The analysed scenario."""
-        return self._scenario
-
-    @property
-    def body_truncation(self) -> int:
-        """``g``."""
-        return self._g
-
-    @property
-    def head_truncation(self) -> int:
-        """``gh``."""
-        return self._gh
-
-    @property
-    def substeps(self) -> int:
-        """NEDR slices per stage (Section 3.4.5's refinement)."""
-        return self._substeps
-
-    # ------------------------------------------------------------------
-    # Stage report distributions
-    # ------------------------------------------------------------------
-
-    def _stage_pmf(self, subareas: np.ndarray, truncation: int) -> np.ndarray:
-        """Stage pmf, optionally assembled from equal-probability slices.
-
-        With ``substeps = Q > 1`` the NEDR is cut into ``Q`` slices of
-        area ``area / Q`` each (a uniform sensor is in a given slice with
-        probability ``area / (Q * S)``, independently per the model's
-        occupancy approximation); the stage pmf is the Q-fold convolution
-        of per-slice pmfs truncated at the same ``g`` — capturing up to
-        ``Q * g`` sensors per NEDR for the price of the small per-slice
-        enumeration.
-        """
-        if self._substeps == 1:
-            return stage_report_pmf(
-                subareas,
-                self._scenario.field_area,
-                self._scenario.num_sensors,
-                self._scenario.detect_prob,
-                truncation,
-            )
-        slice_pmf = stage_report_pmf(
-            np.asarray(subareas, dtype=float) / self._substeps,
-            self._scenario.field_area,
-            self._scenario.num_sensors,
-            self._scenario.detect_prob,
-            truncation,
-        )
-        combined = slice_pmf
-        for _ in range(self._substeps - 1):
-            combined = np.convolve(combined, slice_pmf)
-        return combined
-
-    def _cached_stage_pmf(
-        self, subareas: np.ndarray, truncation: int
-    ) -> np.ndarray:
-        """Memoized :meth:`_stage_pmf` (see :mod:`repro.cache`).
-
-        The key carries the subarea vector byte-exact plus every occupancy
-        parameter, and deliberately excludes the threshold ``k`` — a
-        ``k``-sweep reuses all stage pmfs.  Cached pmfs are read-only.
-        """
-        return cached_array(
-            pmf_key(self._scenario, truncation, self._substeps, subareas),
-            lambda: self._stage_pmf(subareas, truncation),
-        )
-
-    def head_stage_pmf(self) -> np.ndarray:
-        """``p_{h:m}``: report pmf of the Head NEDR (substochastic)."""
-        return self._cached_stage_pmf(head_subareas(self._scenario), self._gh)
-
-    def body_stage_pmf(self) -> np.ndarray:
-        """``p_{b:m}``: report pmf of one Body NEDR (substochastic)."""
-        return self._cached_stage_pmf(body_subareas(self._scenario), self._g)
-
-    def tail_stage_pmf(self, tail_index: int) -> np.ndarray:
-        """``p_{tj:m}``: report pmf of Tail NEDR ``T_j`` (substochastic)."""
-        return self._cached_stage_pmf(
-            tail_subareas(self._scenario, tail_index), self._g
-        )
-
-    # ------------------------------------------------------------------
-    # Accuracy (Eqs. 7, 9, 14)
-    # ------------------------------------------------------------------
-
-    def head_stage_accuracy(self) -> float:
-        """``xi_h`` (Eq. 7): probability of at most ``gh`` sensors in the Head NEDR."""
-        return float(self.head_stage_pmf().sum())
-
-    def body_stage_accuracy(self) -> float:
-        """``xi`` (Eq. 9): probability of at most ``g`` sensors in a Body NEDR."""
-        return float(self.body_stage_pmf().sum())
-
-    def analysis_accuracy(self) -> float:
-        """``eta_MS = xi_h * xi^(M-1)`` (Eq. 14).
-
-        The paper notes this is a *lower bound* on the achieved accuracy
-        once the Eq. 13 normalisation is applied.
-        """
-        return self.head_stage_accuracy() * self.body_stage_accuracy() ** (
-            self._scenario.window - 1
-        )
-
-    # ------------------------------------------------------------------
-    # Result distribution (Eq. 12)
-    # ------------------------------------------------------------------
-
-    def num_states(self) -> int:
-        """``M * Z + 1`` with ``Z = (ms + 1) * gh`` (Fig. 5 discussion).
-
-        With ``substeps = Q``, each stage can register up to ``Q`` times
-        as many sensors, scaling ``Z`` accordingly.
-        """
-        z = (self._scenario.ms + 1) * max(self._gh, self._g) * self._substeps
-        return self._scenario.window * z + 1
-
-    def transition_matrices(self) -> List[np.ndarray]:
-        """``[TH, TB, TT_1, ..., TT_ms]`` as dense counting matrices."""
-        states = self.num_states()
-        matrices = [counting_transition_matrix(self.head_stage_pmf(), states)]
-        matrices.append(counting_transition_matrix(self.body_stage_pmf(), states))
-        for j in range(1, self._scenario.ms + 1):
-            matrices.append(
-                counting_transition_matrix(self.tail_stage_pmf(j), states)
-            )
-        return matrices
-
-    def report_count_distribution(self, method: str = "convolution") -> np.ndarray:
-        """The (substochastic) pmf of the total report count after ``M`` periods.
-
-        Args:
-            method: ``'convolution'`` (fast; convolves stage pmfs) or
-                ``'matrix'`` (literal Eq. 12 matrix product).  Both produce
-                identical distributions; the matrix form pads with trailing
-                zeros up to ``num_states()`` entries.
-
-        Raises:
-            AnalysisError: for an unknown ``method``.
-        """
-        if method == "convolution":
-            result = self.head_stage_pmf()
-            body = self.body_stage_pmf()
-            for _ in range(self._scenario.body_steps):
-                result = np.convolve(result, body)
-            for j in range(1, self._scenario.ms + 1):
-                result = np.convolve(result, self.tail_stage_pmf(j))
-            return result
-        if method == "matrix":
-            matrices = self.transition_matrices()
-            head, body, tails = matrices[0], matrices[1], matrices[2:]
-            distribution = np.zeros(self.num_states())
-            distribution[0] = 1.0  # u = [1 0 0 ... 0] (Eq. 11)
-            distribution = distribution @ head
-            for _ in range(self._scenario.body_steps):
-                distribution = distribution @ body
-            for tail in tails:
-                distribution = distribution @ tail
-            return distribution
-        raise AnalysisError(f"unknown method {method!r}; use 'convolution' or 'matrix'")
-
-    def detection_probability(
-        self,
-        threshold: Optional[int] = None,
-        normalize: bool = True,
-        method: str = "convolution",
-    ) -> float:
-        """``P_M[X >= k]`` (Eq. 13).
-
-        Args:
-            threshold: ``k``; defaults to the scenario's threshold.
-            normalize: divide the tail mass by the captured total mass
-                (``sum`` in Eq. 13).  ``False`` reproduces Fig. 9(b).
-            method: see :meth:`report_count_distribution`.
-        """
-        k = self._scenario.threshold if threshold is None else threshold
-        if k < 0:
-            raise AnalysisError(f"threshold must be non-negative, got {k}")
-        distribution = self.report_count_distribution(method=method)
-        tail = float(distribution[k:].sum()) if k < distribution.size else 0.0
-        if not normalize:
-            return tail
-        total = float(distribution.sum())
-        if total <= 0.0:
-            raise AnalysisError(
-                "captured probability mass is zero for num_sensors="
-                f"{self._scenario.num_sensors}: body_truncation "
-                f"g={self._g}, head_truncation gh={self._gh} (substeps="
-                f"{self._substeps}) admit no sensor configuration across "
-                f"the {self._scenario.window} stages; increase the "
-                "truncations"
-            )
-        return tail / total
+__all__ = ["BatchedMarkovSpatialAnalysis", "MarkovSpatialAnalysis"]

@@ -18,22 +18,13 @@ experiment quantifies.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from repro.deployment.field import SensorField
+from repro.deployment.strategies import _as_rng, _RngLike
 from repro.errors import DeploymentError
 
 __all__ = ["apply_drift", "drift_deployment_strategy"]
-
-_RngLike = Union[None, int, np.random.Generator]
-
-
-def _as_rng(rng: _RngLike) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def apply_drift(

@@ -1089,9 +1089,8 @@ def rule_design_experiment(
     the per-window system false alarm probability under the Bernoulli node
     model — the two quantities a designer trades when picking the rule.
     Analysis-only; each window's whole ``k`` row is read off one batched
-    survival function (:class:`repro.core.batched.BatchedMarkovSpatialAnalysis`).
+    survival function (:class:`repro.core.markov_spatial.MarkovSpatialAnalysis`).
     """
-    from repro.core.batched import BatchedMarkovSpatialAnalysis
     from repro.core.false_alarms import window_false_alarm_probability
 
     record = ExperimentRecord(
@@ -1111,7 +1110,7 @@ def rule_design_experiment(
             window=window,
             threshold=threshold_axis[0],
         )
-        detection_row = BatchedMarkovSpatialAnalysis(
+        detection_row = MarkovSpatialAnalysis(
             scenario, 3
         ).detection_probability_grid(thresholds=threshold_axis)[0]
         for column, threshold in enumerate(threshold_axis):
@@ -1391,12 +1390,3 @@ def multi_base_experiment(
             deliverable_fraction=float(np.mean(deliverable)),
         )
     return record
-
-
-def _record_to_lines(record: ExperimentRecord) -> str:
-    """Render a record with its title for CLI output."""
-    from repro.experiments.tables import render_table
-
-    rows = [[row.get(col) for col in record.columns] for row in record.rows]
-    header = f"[{record.experiment_id}] {record.title}"
-    return header + "\n" + render_table(record.columns, rows)

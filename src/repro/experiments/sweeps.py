@@ -36,7 +36,7 @@ Batched analytical sweeps
 scenario fields.  When every swept axis is in :data:`BATCHED_FIELDS`
 (``num_sensors`` and ``threshold`` — the axes the Eq. 12 chain can
 broadcast over), the whole grid is answered by one
-:class:`repro.core.batched.BatchedMarkovSpatialAnalysis` evaluation; any
+:class:`repro.core.markov_spatial.MarkovSpatialAnalysis` evaluation; any
 other axis falls back to per-point evaluation (counted in the
 ``batch.fallbacks`` obs counter).  Both paths run through the same
 checkpoint/resume engine and — because the per-point path evaluates the
@@ -377,23 +377,20 @@ def _analytical_point(
     normalize: bool,
     **point: Any,
 ) -> Dict[str, Any]:
-    """One analytical sweep row, evaluated on the batched kernel.
+    """One analytical sweep row: the engine's singleton form.
 
-    Module-level (hence picklable for ``workers > 1``).  Uses the batched
-    engine on singleton axes rather than the scalar
-    ``MarkovSpatialAnalysis`` so that per-point rows are **bitwise** equal
-    to the corresponding batched-grid rows (the kernel is
-    batch-invariant; the scalar engine associates its convolutions
-    differently and agrees only to 1e-12).
+    Module-level (hence picklable for ``workers > 1``).  The engine is
+    batch-invariant, so per-point rows are **bitwise** equal to the
+    corresponding batched-grid rows and to ``/analyze`` answers.
     """
-    from repro.core.batched import BatchedMarkovSpatialAnalysis
+    from repro.core.markov_spatial import MarkovSpatialAnalysis
 
     threshold = point.get("threshold")
     replacements = {
         name: value for name, value in point.items() if name != "threshold"
     }
     target = scenario.replace(**replacements) if replacements else scenario
-    engine = BatchedMarkovSpatialAnalysis(
+    engine = MarkovSpatialAnalysis(
         target,
         body_truncation=body_truncation,
         head_truncation=head_truncation,
@@ -467,11 +464,11 @@ def analytical_grid_sweep(
     points = _grid_points(grids)
     use_batched = batchable and batch is not False
     if use_batched:
-        from repro.core.batched import BatchedMarkovSpatialAnalysis
+        from repro.core.markov_spatial import MarkovSpatialAnalysis
 
         num_sensors = list(grids.get("num_sensors", [scenario.num_sensors]))
         thresholds = list(grids.get("threshold", [scenario.threshold]))
-        engine = BatchedMarkovSpatialAnalysis(
+        engine = MarkovSpatialAnalysis(
             scenario,
             body_truncation=body_truncation,
             head_truncation=head_truncation,

@@ -5,8 +5,10 @@ generated so far.  Each stage adds an independent, non-negative increment
 whose pmf is the stage's report-count distribution, so every transition
 matrix has the Toeplitz "shift" structure ``T[s, s + m] = pmf[m]``
 (Figs. 5-7 of the paper).  Propagating a distribution through such a matrix
-is exactly a discrete convolution; this module provides both views, and the
-analysis code asserts they agree.
+is exactly a discrete convolution; this module provides both views.  The
+analytical engine (:mod:`repro.core.batched`) runs the convolution view;
+:func:`ms_chain_distribution` is the literal Eq. 12 matrix product, kept as
+the oracle the tests and ``repro validate`` pin the engine against.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ __all__ = [
     "counting_transition_matrix",
     "propagate_counts",
     "merge_tail",
+    "ms_chain_distribution",
+    "ms_state_count",
 ]
 
 _TOLERANCE = 1e-9
@@ -140,3 +144,48 @@ def merge_tail(distribution: Sequence[float], threshold: int) -> np.ndarray:
     out[:threshold] = dist[:threshold]
     out[threshold] = dist[threshold:].sum()
     return out
+
+
+def ms_state_count(window: int, ms: int, truncation: int, substeps: int = 1) -> int:
+    """``M * Z + 1`` count states, ``Z = (ms + 1) * truncation * substeps``.
+
+    The M-S-approach chain's state space (Fig. 5 discussion): each stage
+    registers at most ``truncation = max(gh, g)`` sensors per NEDR slice,
+    each covering at most ``ms + 1`` periods, over ``M`` stages.
+    """
+    return window * (ms + 1) * truncation * substeps + 1
+
+
+def ms_chain_distribution(
+    head_pmf: Sequence[float],
+    body_pmf: Sequence[float],
+    body_steps: int,
+    tail_pmfs: Sequence[Sequence[float]],
+    num_states: int,
+    substeps: int = 1,
+) -> np.ndarray:
+    """Eq. 12 literally: ``u * TH * TB^(M-ms-1) * prod_j TT_j``.
+
+    Builds each stage's dense :func:`counting_transition_matrix` and
+    multiplies the start vector ``u = [1 0 ... 0]`` (Eq. 11) through them
+    one step at a time.  With ``substeps = Q`` the pmfs are the per-slice
+    pmfs and each stage applies its matrix ``Q`` times.  This is the oracle
+    for the convolution engine, not a production path: it costs
+    ``O(num_states^2)`` per step.
+
+    Returns:
+        The (substochastic) report-count distribution over
+        ``0 .. num_states - 1``.
+
+    Raises:
+        DistributionError: for an invalid pmf or state count.
+    """
+    stages = [(head_pmf, 1), (body_pmf, body_steps)]
+    stages += [(pmf, 1) for pmf in tail_pmfs]
+    distribution = np.zeros(num_states)
+    distribution[0] = 1.0
+    for pmf, steps in stages:
+        matrix = counting_transition_matrix(pmf, num_states)
+        for _ in range(steps * substeps):
+            distribution = distribution @ matrix
+    return distribution

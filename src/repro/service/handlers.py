@@ -398,21 +398,20 @@ def compute_sweep(request: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-side kernel for ``/sweep``.
 
     A ``num_sensors`` or ``threshold`` axis is answered by one
-    :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis` evaluation
+    :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` evaluation
     (one kernel call for the whole request); other axes change the
     geometry or detection physics and run per point on the batched
     kernel's singleton form, sharing the worker's process-wide analysis
     cache.  Either way, rows are bitwise identical between the two
     shapes because the kernel is batch-invariant.
     """
-    from repro.core.batched import BatchedMarkovSpatialAnalysis
     from repro.experiments.sweeps import BATCHED_FIELDS
 
     base = request["scenario"]
     parameter = request["parameter"]
     rows = []
     if parameter in BATCHED_FIELDS:
-        engine = BatchedMarkovSpatialAnalysis(
+        engine = MarkovSpatialAnalysis(
             Scenario.from_dict(base),
             body_truncation=request["body_truncation"],
             substeps=request["substeps"],
@@ -432,7 +431,7 @@ def compute_sweep(request: Dict[str, Any]) -> Dict[str, Any]:
         for value in request["values"]:
             point = dict(base)
             point[parameter] = value
-            engine = BatchedMarkovSpatialAnalysis(
+            engine = MarkovSpatialAnalysis(
                 Scenario.from_dict(point),
                 body_truncation=request["body_truncation"],
                 substeps=request["substeps"],
@@ -483,11 +482,9 @@ def approximate_simulate(request: Dict[str, Any]) -> Dict[str, Any]:
     scenario = Scenario.from_dict(request["scenario"])
     sweep = request.get("sweep")
     if sweep is not None:
-        from repro.core.batched import BatchedMarkovSpatialAnalysis
-
         parameter = sweep["parameter"]
         values = list(sweep["values"])
-        engine = BatchedMarkovSpatialAnalysis(
+        engine = MarkovSpatialAnalysis(
             scenario, body_truncation=1, substeps=1
         )
         axis = {

@@ -197,3 +197,54 @@ class TestMonteCarloMatrix:
             r for r in per_point_rows if r["num_sensors"] == n_max
         )
         assert fused_row == serial_row
+
+
+class TestCrossEntryBits:
+    """One question, every entry point: the same bits.
+
+    ``/analyze``, ``/sweep``, the sweep layer, the design evaluator and
+    the figures all run the one M-S-approach engine, so the answer to
+    "P[X >= k] at this scenario" must agree to the last bit (compared by
+    ``float.hex``), whether it was computed as a singleton or as one row
+    of a larger grid.
+    """
+
+    def test_analyze_sweep_grid_design_and_figure_agree(self):
+        from repro.adaptive import InProcessEvaluator
+        from repro.experiments.figures import fig9a_straight_line
+        from repro.experiments.presets import onr_scenario
+        from repro.service.handlers import (
+            canonicalize_analyze,
+            canonicalize_sweep,
+            compute_analyze,
+            compute_sweep,
+        )
+
+        count, speed = 240, 10.0
+        scenario = onr_scenario(num_sensors=count, speed=speed)
+        axis = [120, count]
+        answers = {
+            "analyze": compute_analyze(
+                canonicalize_analyze({"scenario": scenario.to_dict()})
+            )["detection_probability"],
+            "sweep": compute_sweep(
+                canonicalize_sweep(
+                    {
+                        "scenario": scenario.to_dict(),
+                        "parameter": "num_sensors",
+                        "values": axis,
+                    }
+                )
+            )["rows"][1]["detection_probability"],
+            "grid": analytical_grid_sweep(scenario, {"num_sensors": axis})[1][
+                "detection_probability"
+            ],
+            "design": InProcessEvaluator().evaluate(
+                scenario, [{"num_sensors": count}]
+            )[0],
+            "figure": fig9a_straight_line(
+                node_counts=[count], speeds=[speed], trials=20, seed=7
+            ).rows[0]["analysis"],
+        }
+        bits = {name: float.hex(value) for name, value in answers.items()}
+        assert len(set(bits.values())) == 1, bits

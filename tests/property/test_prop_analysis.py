@@ -10,6 +10,7 @@ from repro.core.exact_spatial import ExactSpatialAnalysis
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.scenario import Scenario
 from repro.deployment.field import SensorField
+from tests.oracles import oracle_distribution
 
 
 def scenario_strategy():
@@ -47,11 +48,13 @@ class TestAnalysisInvariants:
     @settings(max_examples=40, deadline=None)
     def test_ms_engines_agree(self, scenario):
         analysis = MarkovSpatialAnalysis(scenario, body_truncation=2)
-        conv = analysis.report_count_distribution("convolution")
+        conv = analysis.report_count_distribution()
         import numpy as np
 
-        matrix = analysis.report_count_distribution("matrix")
-        np.testing.assert_allclose(conv, matrix[: conv.size], atol=1e-10)
+        matrix = oracle_distribution(scenario, body_truncation=2)
+        np.testing.assert_allclose(
+            conv, matrix[: conv.size], rtol=0, atol=1e-10
+        )
 
     @given(scenario=scenario_strategy())
     @settings(max_examples=40, deadline=None)

@@ -1,18 +1,18 @@
-"""Property-based tests pinning the batched engine to the scalar one.
+"""Property-based tests pinning the M-S-approach engine to its oracle.
 
 The contracts the sweep/design/service layers rely on:
 
-* **1e-12 parity** — every entry of a batched ``(N, k)`` grid matches the
-  scalar :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis`
-  evaluated at that point (the kernels associate their convolutions
-  differently, so the agreement is to rounding, not bitwise);
+* **1e-12 oracle parity** — every entry of an ``(N, k)`` grid matches the
+  literal Eq. 12 matrix product (:mod:`tests.oracles`) evaluated at that
+  point (the engine convolves by squaring, the oracle multiplies
+  matrices, so the agreement is to rounding, not bitwise);
 * **batch invariance** — a singleton evaluation is *bitwise* equal to
   the corresponding grid row (this is what makes the sweep layer's
   batched and per-point dispatch paths byte-identical);
 * **survival monotonicity** — ``P_M[X >= k]`` is non-increasing in ``k``;
 * **convolution-vs-matrix parity**, lifted from the single fixture
   assert in ``tests/unit/test_markov_spatial.py`` into a sampled
-  property, and extended to the batched distribution stack.
+  property, and extended to every row of a distribution stack.
 """
 
 import math
@@ -25,6 +25,7 @@ from repro.core.batched import BatchedMarkovSpatialAnalysis
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.scenario import Scenario
 from repro.deployment.field import SensorField
+from tests.oracles import oracle_distribution, oracle_probability
 
 PARITY_ATOL = 1e-12
 
@@ -89,16 +90,14 @@ class TestBatchedScalarParity:
             num_sensors=num_sensors, thresholds=thresholds, normalize=normalize
         )
         for i, count in enumerate(num_sensors):
-            scalar = MarkovSpatialAnalysis(
+            matrix = oracle_distribution(
                 scenario.replace(num_sensors=count),
                 body_truncation=body_truncation,
                 head_truncation=head_truncation,
                 substeps=substeps,
             )
             for j, threshold in enumerate(thresholds):
-                reference = scalar.detection_probability(
-                    threshold=threshold, normalize=normalize
-                )
+                reference = oracle_probability(matrix, threshold, normalize)
                 assert abs(grid[i, j] - reference) <= PARITY_ATOL
 
     @given(scenario=scenario_strategy(), axes=axes_strategy())
@@ -138,31 +137,46 @@ class TestSurvivalMonotonicity:
 
 
 class TestMethodParity:
-    @given(scenario=scenario_strategy(), body_truncation=st.integers(1, 3))
+    @given(
+        scenario=scenario_strategy(),
+        body_truncation=st.integers(1, 3),
+        substeps=st.integers(1, 2),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_convolution_matches_matrix(self, scenario, body_truncation):
+    def test_convolution_matches_matrix(
+        self, scenario, body_truncation, substeps
+    ):
         """The unit suite's single fixture assert, sampled over scenarios."""
-        analysis = MarkovSpatialAnalysis(
-            scenario, body_truncation=body_truncation
+        convolution = MarkovSpatialAnalysis(
+            scenario, body_truncation=body_truncation, substeps=substeps
+        ).report_count_distribution()
+        matrix = oracle_distribution(
+            scenario, body_truncation=body_truncation, substeps=substeps
         )
-        convolution = analysis.report_count_distribution("convolution")
-        matrix = analysis.report_count_distribution("matrix")
         np.testing.assert_allclose(
-            convolution, matrix[: convolution.size], atol=1e-12
+            convolution, matrix[: convolution.size], rtol=0, atol=1e-12
         )
         assert abs(matrix[convolution.size :].sum()) <= 1e-15
 
-    @given(scenario=scenario_strategy(), body_truncation=st.integers(1, 3))
+    @given(
+        scenario=scenario_strategy(),
+        counts=st.lists(st.integers(1, 80), min_size=1, max_size=3),
+        body_truncation=st.integers(1, 3),
+    )
     @settings(max_examples=25, deadline=None)
     def test_batched_distribution_matches_matrix(
-        self, scenario, body_truncation
+        self, scenario, counts, body_truncation
     ):
-        """Eq. 12 parity extended to the batched stack: each row of
-        ``report_count_distributions`` is the matrix-engine result."""
-        row = BatchedMarkovSpatialAnalysis(
+        """Eq. 12 parity extended to the stack: each row of
+        ``report_count_distributions`` is the matrix result for its N."""
+        stack = BatchedMarkovSpatialAnalysis(
             scenario, body_truncation=body_truncation
-        ).report_count_distributions()[0]
-        matrix = MarkovSpatialAnalysis(
-            scenario, body_truncation=body_truncation
-        ).report_count_distribution("matrix")
-        np.testing.assert_allclose(row, matrix[: row.size], atol=1e-12)
+        ).report_count_distributions(num_sensors=counts)
+        for row, count in zip(stack, counts):
+            matrix = oracle_distribution(
+                scenario.replace(num_sensors=count),
+                body_truncation=body_truncation,
+            )
+            np.testing.assert_allclose(
+                row, matrix[: row.size], rtol=0, atol=1e-12
+            )

@@ -94,6 +94,9 @@ class TestConstruction:
         with pytest.raises(AnalysisError, match="M > ms"):
             BatchedMarkovSpatialAnalysis(short)
 
+    def test_one_engine_under_both_names(self):
+        assert BatchedMarkovSpatialAnalysis is MarkovSpatialAnalysis
+
     def test_properties_mirror_scalar(self, small):
         engine = BatchedMarkovSpatialAnalysis(
             small, body_truncation=2, head_truncation=4, substeps=2
@@ -109,8 +112,6 @@ class TestGridEvaluation:
         engine = BatchedMarkovSpatialAnalysis(small)
         grid = engine.detection_probability_grid()
         assert grid.shape == (1, 1)
-        scalar = MarkovSpatialAnalysis(small).detection_probability()
-        assert grid[0, 0] == pytest.approx(scalar, abs=1e-12)
         assert engine.detection_probability() == grid[0, 0]
 
     def test_axis_validation(self, small):
@@ -125,6 +126,14 @@ class TestGridEvaluation:
             engine.detection_probability_grid(thresholds=[-1])
         with pytest.raises(AnalysisError, match="threshold"):
             engine.detection_probability(threshold=-1)
+
+    @pytest.mark.parametrize("threshold", [2.5, True])
+    def test_singleton_threshold_validated_like_axis(self, small, threshold):
+        # Never truncated to an int: 2.5 must not answer P[X >= 2].
+        with pytest.raises(AnalysisError, match="thresholds values"):
+            BatchedMarkovSpatialAnalysis(small).detection_probability(
+                threshold=threshold
+            )
 
     def test_empty_axis_yields_empty_grid(self, small):
         engine = BatchedMarkovSpatialAnalysis(small)

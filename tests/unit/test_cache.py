@@ -8,7 +8,6 @@ from repro.cache import (
     analysis_cache,
     cached_array,
     clear_analysis_cache,
-    pmf_key,
     region_geometry_key,
 )
 from repro.core.markov_spatial import MarkovSpatialAnalysis
@@ -175,26 +174,6 @@ class TestCacheKeys:
         assert region_geometry_key(base) != region_geometry_key(
             onr_scenario(num_sensors=120, speed=10.0, sensing_range=900.0)
         )
-
-    def test_pmf_key_tracks_occupancy_fields(self):
-        base = onr_scenario(num_sensors=120, speed=10.0)
-        areas = np.arange(3.0)
-        key = pmf_key(base, 3, 1, areas)
-        assert key == pmf_key(
-            onr_scenario(num_sensors=120, speed=10.0, threshold=9), 3, 1, areas
-        )
-        assert key != pmf_key(
-            onr_scenario(num_sensors=121, speed=10.0), 3, 1, areas
-        )
-        assert key != pmf_key(
-            onr_scenario(num_sensors=120, speed=10.0, detect_prob=0.8),
-            3,
-            1,
-            areas,
-        )
-        assert key != pmf_key(base, 4, 1, areas)
-        assert key != pmf_key(base, 3, 2, areas)
-        assert key != pmf_key(base, 3, 1, areas + 1.0)
 
 
 class TestAnalysisLayerCaching:

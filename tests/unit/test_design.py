@@ -17,8 +17,9 @@ from repro.experiments.presets import onr_scenario
 
 class TestDetectionProbability:
     def test_matches_ms_analysis(self, onr):
-        assert detection_probability(onr) == pytest.approx(
-            MarkovSpatialAnalysis(onr, 3).detection_probability()
+        assert (
+            detection_probability(onr)
+            == MarkovSpatialAnalysis(onr, 3).detection_probability()
         )
 
 

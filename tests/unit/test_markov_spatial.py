@@ -1,4 +1,8 @@
-"""Unit tests for repro.core.markov_spatial (the M-S-approach)."""
+"""Unit tests for repro.core.markov_spatial (the M-S-approach).
+
+The engine is pinned against the literal Eq. 12 matrix product in
+:mod:`tests.oracles`.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.errors import AnalysisError
 from repro.experiments.presets import onr_scenario
+from repro.markov.counting import counting_transition_matrix, ms_state_count
+from tests.oracles import oracle_distribution, oracle_probability
 
 
 @pytest.fixture
@@ -80,28 +86,33 @@ class TestStagePmfs:
 
 class TestResultDistribution:
     def test_convolution_matches_matrix(self, analysis):
-        conv = analysis.report_count_distribution("convolution")
-        matrix = analysis.report_count_distribution("matrix")
-        np.testing.assert_allclose(conv, matrix[: conv.size], atol=1e-12)
+        conv = analysis.report_count_distribution()
+        matrix = oracle_distribution(analysis.scenario, 3)
+        np.testing.assert_allclose(
+            conv, matrix[: conv.size], rtol=0, atol=1e-12
+        )
         assert abs(matrix[conv.size :]).sum() == 0.0
 
     def test_total_mass_is_eta_ms(self, analysis):
         dist = analysis.report_count_distribution()
         assert dist.sum() == pytest.approx(analysis.analysis_accuracy())
 
-    def test_unknown_method_rejected(self, analysis):
-        with pytest.raises(AnalysisError):
-            analysis.report_count_distribution("fft")
-
     def test_state_count(self, analysis):
         # M * Z + 1 with Z = (ms + 1) * gh = 5 * 3.
-        assert analysis.num_states() == 20 * 15 + 1
+        scenario = analysis.scenario
+        assert ms_state_count(scenario.window, scenario.ms, 3) == 20 * 15 + 1
 
     def test_transition_matrix_shapes(self, analysis):
-        matrices = analysis.transition_matrices()
-        assert len(matrices) == 2 + analysis.scenario.ms
-        for matrix in matrices:
-            assert matrix.shape == (analysis.num_states(), analysis.num_states())
+        scenario = analysis.scenario
+        states = ms_state_count(scenario.window, scenario.ms, 3)
+        pmfs = [analysis.head_stage_pmf(), analysis.body_stage_pmf()] + [
+            analysis.tail_stage_pmf(j) for j in range(1, scenario.ms + 1)
+        ]
+        for pmf in pmfs:
+            matrix = counting_transition_matrix(pmf, states)
+            assert matrix.shape == (states, states)
+            # Every stage increment fits: the start row keeps the stage mass.
+            assert matrix[0].sum() == pytest.approx(pmf.sum())
 
 
 class TestDetectionProbability:
@@ -135,8 +146,9 @@ class TestDetectionProbability:
         assert fast > slow
 
     def test_matrix_method_same_probability(self, analysis):
-        assert analysis.detection_probability(method="matrix") == pytest.approx(
-            analysis.detection_probability(method="convolution"), abs=1e-12
+        matrix = oracle_distribution(analysis.scenario, 3)
+        assert analysis.detection_probability() == pytest.approx(
+            oracle_probability(matrix, analysis.scenario.threshold), abs=1e-12
         )
 
     def test_negative_threshold_rejected(self, analysis):
@@ -201,9 +213,11 @@ class TestSubsteps:
 
     def test_engines_agree_with_substeps(self, onr):
         analysis = MarkovSpatialAnalysis(onr, 2, 2, substeps=2)
-        conv = analysis.report_count_distribution("convolution")
-        matrix = analysis.report_count_distribution("matrix")
-        np.testing.assert_allclose(conv, matrix[: conv.size], atol=1e-12)
+        conv = analysis.report_count_distribution()
+        matrix = oracle_distribution(onr, 2, 2, substeps=2)
+        np.testing.assert_allclose(
+            conv, matrix[: conv.size], rtol=0, atol=1e-12
+        )
         assert abs(matrix[conv.size :]).sum() == 0.0
 
     def test_substep_one_is_base_method(self, onr):

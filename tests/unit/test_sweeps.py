@@ -301,9 +301,7 @@ class TestAnalyticalGridSweep:
         reference = MarkovSpatialAnalysis(scenario).detection_probability(
             threshold=2, normalize=False
         )
-        assert rows[0]["detection_probability"] == pytest.approx(
-            reference, abs=1e-12
-        )
+        assert rows[0]["detection_probability"] == reference
 
     def test_obs_counters_for_both_paths(self, scenario):
         from repro import obs
