@@ -2,7 +2,7 @@
 
 An *evaluator* answers design-space oracle queries: given a template
 scenario and a batch of sweep-style replacement points (the exact shape
-:func:`repro.experiments.sweeps._analytical_point` takes — scenario
+:func:`repro.experiments.sweeps.point_function` takes — scenario
 field overrides plus an optional ``"threshold"``), it returns one model
 detection probability per point.  Searches never build engines
 themselves; they go through this seam, so the same bisection code runs

@@ -1,8 +1,10 @@
 """The sweep coordinator: canonical point list, leases, merged rows.
 
 One :class:`SweepCoordinator` owns one sweep: the ordered point list,
-its checkpoint fingerprint, the :class:`~repro.distributed.leases.LeaseBook`
-that shards it, and the completed-row map.  Workers connect over TCP,
+its checkpoint fingerprint (points plus spec,
+:func:`repro.experiments.sweeps.sweep_fingerprint`), the
+:class:`~repro.distributed.leases.LeaseBook` that shards it, and the
+completed-row map.  Workers connect over TCP,
 handshake (``hello``/``welcome``), and then drive the book through the
 :mod:`repro.distributed.protocol` grammar; every book transition happens
 under one lock, and the directives it returns are queued to the affected
@@ -41,9 +43,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ProtocolError, SimulationError
 from repro.experiments.sweeps import (
     _load_checkpoint,
-    _points_fingerprint,
     _write_checkpoint,
     canonical_row,
+    sweep_fingerprint,
 )
 from repro.service.metrics import MetricsTable
 from repro.distributed import protocol
@@ -135,7 +137,7 @@ class SweepCoordinator:
     ) -> None:
         self._points = list(points)
         self._spec = dict(spec)
-        self._fingerprint = _points_fingerprint(self._points)
+        self._fingerprint = sweep_fingerprint(self._points, self._spec)
         self._checkpoint = checkpoint
         self._bind = (host, port)
         self._on_progress = on_progress

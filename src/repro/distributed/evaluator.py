@@ -23,6 +23,7 @@ from repro.adaptive.evaluators import Evaluator, Point
 from repro.core.scenario import Scenario
 from repro.distributed.orchestrator import distributed_sweep
 from repro.errors import AnalysisError
+from repro.experiments.sweeps import sweep_spec
 
 __all__ = ["FleetEvaluator"]
 
@@ -69,14 +70,14 @@ class FleetEvaluator(Evaluator):
     def _compute_points(
         self, scenario: Scenario, points: List[Point]
     ) -> List[float]:
-        spec = {
-            "kind": "analytical",
-            "scenario": scenario.to_dict(),
-            "body_truncation": self.truncation,
-            "head_truncation": self.head_truncation,
-            "substeps": self.substeps,
-            "normalize": self.normalize,
-        }
+        spec = sweep_spec(
+            "analytical",
+            scenario,
+            body_truncation=self.truncation,
+            head_truncation=self.head_truncation,
+            substeps=self.substeps,
+            normalize=self.normalize,
+        )
         rows = distributed_sweep(
             list(points),
             spec,

@@ -30,10 +30,11 @@ Grammar rules:
 * the first worker frame must be ``hello`` with a supported
   ``protocol`` and a non-empty ``worker`` name; the coordinator
   answers ``welcome`` (or ``error``) before anything else;
-* the ``welcome`` carries the canonical point list *and* its
-  checkpoint fingerprint; the worker recomputes the fingerprint from
-  the points and refuses a coordinator that lies about it — the same
-  trust-but-verify handshake as the streaming tier;
+* the ``welcome`` carries the canonical point list, the compute spec
+  *and* the sweep's checkpoint fingerprint; the worker recomputes the
+  fingerprint from the points and spec and refuses a coordinator that
+  lies about it — the same trust-but-verify handshake as the streaming
+  tier;
 * a ``lease`` may only follow a ``request`` (or a ``revoke`` ack on
   some other connection — leases are pushed, so a parked worker
   receives its grant without asking again);
@@ -216,9 +217,9 @@ def validate_welcome(
 
     Args:
         frame: the decoded welcome frame.
-        fingerprint_of: callable mapping the point list to its
-            checkpoint fingerprint (the worker recomputes rather than
-            trusting the wire).
+        fingerprint_of: callable mapping ``(points, spec)`` to the
+            sweep's checkpoint fingerprint (the worker recomputes rather
+            than trusting the wire).
         expected_fingerprint: when the worker was launched against a
             known sweep, additionally pin the fingerprint to it.
 
@@ -258,11 +259,11 @@ def validate_welcome(
             "'welcome' must carry the compute spec object", code="spec"
         )
     claimed = frame.get("fingerprint")
-    actual = fingerprint_of(points)
+    actual = fingerprint_of(points, spec)
     if claimed != actual:
         raise ProtocolError(
-            f"point-list fingerprint mismatch: welcome claims "
-            f"{claimed!r}, points hash to {actual!r}",
+            f"sweep fingerprint mismatch: welcome claims "
+            f"{claimed!r}, points and spec hash to {actual!r}",
             code="fingerprint",
         )
     if expected_fingerprint is not None and claimed != expected_fingerprint:

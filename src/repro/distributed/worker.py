@@ -8,10 +8,10 @@ another host (``repro sweep --connect host:port``).
 
 Loop shape:
 
-* handshake, then verify the coordinator's point list hashes to the
+* handshake, then verify the coordinator's points and spec hash to the
   fingerprint it claims (:func:`repro.distributed.protocol.validate_welcome`
-  with :func:`repro.experiments.sweeps._points_fingerprint` — the same
-  digest the checkpoint format uses);
+  with :func:`repro.experiments.sweeps.sweep_fingerprint` — the same
+  identity the checkpoint format carries);
 * resolve the compute ``spec`` into a point function
   (:func:`resolve_spec`);
 * while owning a lease, compute its indexes **front-to-back**, sending
@@ -41,10 +41,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ProtocolError, SimulationError, StreamError
 from repro.experiments.sweeps import (
-    _analytical_point,
-    _points_fingerprint,
-    _simulated_point,
     canonical_row,
+    point_function,
+    sweep_fingerprint,
 )
 from repro.distributed import protocol
 
@@ -59,14 +58,12 @@ def default_worker_name() -> str:
 def resolve_spec(spec: Dict[str, Any]) -> Callable[..., Dict[str, Any]]:
     """Turn a wire compute spec into a point function.
 
-    Three kinds:
+    Two families:
 
-    * ``{"kind": "analytical", "scenario": {...}, ...}`` — the
-      M-S-approach point used by ``analytical_grid_sweep``'s per-point
-      path (bitwise equal to the batched grid);
-    * ``{"kind": "simulated", "scenario": {...}, "trials": ..., ...}``
-      — one Monte Carlo simulator per point, same root seed everywhere
-      (the ``fused=False`` serial path);
+    * ``{"kind": "analytical" | "simulated", "scenario": {...}, ...}`` —
+      a scenario-sweep spec, resolved by
+      :func:`repro.experiments.sweeps.point_function`, the same point
+      function the serial per-point path runs;
     * ``{"kind": "callable", "function": "module:attr", "fixed":
       {...}}`` — any importable function, partially applied.
 
@@ -74,30 +71,8 @@ def resolve_spec(spec: Dict[str, Any]) -> Callable[..., Dict[str, Any]]:
         ProtocolError: on an unknown kind or unresolvable callable.
     """
     kind = spec.get("kind")
-    if kind == "analytical":
-        from repro.core.scenario import Scenario
-
-        scenario = Scenario.from_dict(spec["scenario"])
-        return functools.partial(
-            _analytical_point,
-            scenario,
-            spec.get("body_truncation", 3),
-            spec.get("head_truncation"),
-            spec.get("substeps", 1),
-            spec.get("normalize", True),
-        )
-    if kind == "simulated":
-        from repro.core.scenario import Scenario
-
-        scenario = Scenario.from_dict(spec["scenario"])
-        return functools.partial(
-            _simulated_point,
-            scenario,
-            spec.get("trials", 10_000),
-            spec.get("seed"),
-            spec.get("boundary", "torus"),
-            spec.get("batch_size", 512),
-        )
+    if kind in ("analytical", "simulated"):
+        return point_function(spec)
     if kind == "callable":
         target = spec.get("function")
         if not isinstance(target, str) or ":" not in target:
@@ -191,7 +166,7 @@ def run_worker(
         channel = _Channel(sock, max_frame_bytes)
         channel.send(protocol.hello_frame(worker))
         welcome = protocol.validate_welcome(
-            channel.read(), _points_fingerprint, expected_fingerprint
+            channel.read(), sweep_fingerprint, expected_fingerprint
         )
         points: List[Dict[str, Any]] = welcome["points"]
         compute = resolve_spec(welcome["spec"])

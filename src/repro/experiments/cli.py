@@ -326,39 +326,24 @@ def _run_sweep(args: argparse.Namespace) -> int:
         if args.preset == "small"
         else presets.onr_scenario()
     )
+    fleet = None
     if args.distributed:
         host, _, port = (args.coordinator or "127.0.0.1:0").rpartition(":")
-        rows = sweeps.distributed_grid_sweep(
-            scenario,
-            grids,
-            kind=args.kind,
-            workers=max(1, args.workers),
-            checkpoint=args.checkpoint,
-            host=host or "127.0.0.1",
-            port=int(port),
-            trials=args.trials,
-            seed=args.seed,
-        )
-        path = "distributed"
-    elif args.kind == "analytical":
-        rows = sweeps.analytical_grid_sweep(
-            scenario,
-            grids,
-            workers=args.workers,
-            checkpoint=args.checkpoint,
-        )
-        path = "serial"
-    else:
-        rows = sweeps.simulated_grid_sweep(
-            scenario,
-            grids,
-            trials=args.trials,
-            seed=args.seed,
-            workers=args.workers,
-            checkpoint=args.checkpoint,
-            fused=False,
-        )
-        path = "serial"
+        fleet = (host or "127.0.0.1", int(port))
+    # Serial simulated sweeps run per point, like the fleet, so the two
+    # paths give the same rows and share a checkpoint.
+    rows = sweeps.scenario_sweep(
+        args.kind,
+        scenario,
+        grids,
+        batch="auto" if args.kind == "analytical" else False,
+        workers=max(1, args.workers) if fleet else args.workers,
+        checkpoint=args.checkpoint,
+        fleet=fleet,
+        trials=args.trials,
+        seed=args.seed,
+    )
+    path = "distributed" if fleet else "serial"
     record = ExperimentRecord(
         experiment_id="SWEEP",
         title=f"{args.kind} grid sweep ({path}) over "

@@ -1,90 +1,89 @@
-"""Generic parameter sweep helpers, optionally fanned over processes.
+"""The sweep planner: every parameter sweep in the repo is planned here.
 
-Both helpers accept ``workers=N``: grid points are evaluated by
-:func:`repro.parallel.parallel_map` on a process pool, in input order, so
-parallel and serial sweeps return identical row lists whenever ``compute``
-is deterministic.  ``compute`` must then be picklable (a module-level
-function or :func:`functools.partial`) — lambdas and closures only work at
-``workers=1``.
+:func:`sweep` and :func:`grid_sweep` apply an opaque ``compute`` to
+each point.  A *scenario sweep* — the M-S-approach (``"analytical"``) or
+Monte Carlo (``"simulated"``) detection probability over a grid of
+:class:`~repro.core.scenario.Scenario` fields — is described by one
+plain-JSON spec (:func:`sweep_spec`, the dict the distributed tier also
+sends workers), and :func:`scenario_sweep` plans it with two pieces:
+
+* :func:`point_function` — the picklable per-point function the serial,
+  pooled and distributed paths all run;
+* :func:`grid_function` — a grid whose axes are all in
+  :data:`BATCHED_FIELDS` (``num_sensors``, ``threshold``) answered in one
+  engine pass: one batched analytical grid, or one fused
+  :class:`~repro.simulation.fused.FusedMonteCarloEngine` pass (one
+  deployment at ``max(num_sensors)`` per trial, smaller ``N`` read off
+  its prefix under common random numbers).
+
+:func:`analytical_grid_sweep`, :func:`simulated_grid_sweep`,
+:func:`distributed_grid_sweep`, ``repro sweep`` and the service's
+``/sweep`` and ``/simulate`` sweep axis are thin callers of the planner.
+Other axes fall back to per-point evaluation (counted in the
+``batch.fallbacks`` / ``mc.fallbacks`` obs counters).  The analytical
+kernel is batch-invariant, so its two paths give **byte-identical**
+rows; the Monte Carlo paths consume randomness differently and agree
+only at ``N = max(num_sensors)`` (a fused pass sharded over ``w``
+processes draws differently again), each deterministic for a seed.
+
+With ``workers > 1`` points run on :func:`repro.parallel.parallel_map`,
+in input order, so ``compute`` must be picklable (a module-level
+function or :func:`functools.partial`).
 
 Checkpoint/resume
 -----------------
 
-Long sweeps can pass ``checkpoint="path.json"``: every completed point's
-row is written (atomically — temp file plus :func:`os.replace`) as it
-finishes, keyed by its index in the sweep order.  Re-running the same
-sweep with the same checkpoint path skips the already-completed points
-and computes only the missing ones, so a killed sweep resumes where it
-stopped and still returns the exact row list the uninterrupted run would
-have produced.  The file carries a fingerprint of the sweep's points; a
-checkpoint from a *different* sweep raises
-:class:`~repro.errors.SimulationError` instead of silently mixing rows.
-Checkpoint rows round-trip through JSON, so ``compute`` must return
-JSON-serialisable rows (plain dicts of numbers/strings — which all the
-experiment computes do) for resume to be lossless.  Every row is passed
-through :func:`canonical_row` on the write path — numpy scalars and
-arrays become plain Python numbers/lists and keys come back sorted — so
-a fresh row, a checkpoint-resumed row, and a row that crossed the
-distributed wire are **byte-identical**, not merely equal in value.
-Floats survive canonicalisation exactly (JSON round-trips them through
-``repr``).
+``checkpoint="path.json"`` writes every completed row (atomically —
+temp file plus :func:`os.replace`) keyed by its index in the sweep
+order; re-running the same sweep with the same path computes only the
+missing points and returns the exact rows the uninterrupted run would
+have.  The file carries the sweep's identity, :func:`sweep_fingerprint`:
+the point list for an opaque-callable sweep, the point list *plus the
+spec* for a scenario sweep — and the simulated spec records which
+dispatch path ran (and its shard count).  A checkpoint from another
+scenario, other parameters, another seed or another Monte Carlo path
+raises :class:`~repro.errors.SimulationError` instead of silently mixing
+rows; the analytical batched and per-point paths share one identity, as
+their rows are identical.
 
-Batched analytical sweeps
--------------------------
-
-:func:`analytical_grid_sweep` evaluates the M-S-approach over a grid of
-scenario fields.  When every swept axis is in :data:`BATCHED_FIELDS`
-(``num_sensors`` and ``threshold`` — the axes the Eq. 12 chain can
-broadcast over), the whole grid is answered by one
-:class:`repro.core.markov_spatial.MarkovSpatialAnalysis` evaluation; any
-other axis falls back to per-point evaluation (counted in the
-``batch.fallbacks`` obs counter).  Both paths run through the same
-checkpoint/resume engine and — because the per-point path evaluates the
-*same* batched kernel on singleton axes, and that kernel is
-batch-invariant — produce **byte-identical** row and checkpoint JSON.
-
-Fused simulated sweeps
-----------------------
-
-:func:`simulated_grid_sweep` is the Monte Carlo mirror: when every swept
-axis is in :data:`BATCHED_FIELDS`, the whole grid is answered by one
-:class:`repro.simulation.fused.FusedMonteCarloEngine` pass — one
-deployment at ``max(num_sensors)`` per trial, every smaller ``N`` read
-off the prefix under common random numbers, every ``k`` off the same
-per-trial totals.  Any other axis (or a scenario feature the fused
-engine does not model) falls back to one
-:class:`~repro.simulation.runner.MonteCarloSimulator` per point (counted
-in ``mc.fallbacks``).  Unlike the analytical sweep, the two dispatch
-paths are *not* byte-identical to each other — they consume randomness
-differently — except at ``N = max(num_sensors)``, where the fused
-column is bitwise equal to the per-point run with the same seed.  Each
-path is individually deterministic for a given seed, which is what the
-checkpoint contract needs.
+Every row passes through :func:`canonical_row` on the write path (numpy
+scalars become plain numbers, keys come back sorted, floats round-trip
+exactly through ``repr``), so fresh, resumed and wire-transported rows
+are **byte-identical**; rows must therefore be JSON-serialisable.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 import tempfile
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.core.scenario import Scenario
 from repro.errors import AnalysisError, SimulationError
 from repro.parallel import parallel_map
 
 __all__ = [
     "BATCHED_FIELDS",
+    "SWEEPABLE_FIELDS",
     "analytical_grid_sweep",
     "canonical_row",
     "distributed_grid_sweep",
+    "grid_function",
+    "grid_points",
+    "grid_sweep",
+    "point_function",
+    "scenario_sweep",
     "simulated_grid_sweep",
     "sweep",
-    "grid_sweep",
+    "sweep_fingerprint",
+    "sweep_spec",
 ]
 
 #: Scenario fields the batched kernel can broadcast over: the occupancy
@@ -93,7 +92,34 @@ __all__ = [
 #: per-point path.
 BATCHED_FIELDS = ("num_sensors", "threshold")
 
+#: Scenario fields a sweep may vary: the model's numeric knobs (every
+#: dataclass field but the field geometry).  Derived properties such as
+#: ``ms`` are not fields and cannot be swept.
+SWEEPABLE_FIELDS = tuple(
+    name for name in Scenario.__dataclass_fields__ if name != "field"
+)
+
+#: The parameters (and their defaults) a spec of each kind carries.
+_SPEC_FIELDS: Dict[str, Dict[str, Any]] = {
+    "analytical": {
+        "body_truncation": 3,
+        "head_truncation": None,
+        "substeps": 1,
+        "normalize": True,
+    },
+    "simulated": {
+        "trials": 10_000,
+        "seed": None,
+        "boundary": "torus",
+        "batch_size": 512,
+    },
+}
+
 _CHECKPOINT_VERSION = 1
+
+#: Exact value types a JSON round-trip returns unchanged (numpy scalars,
+#: which subclass some of them, are not among them).
+_JSON_SCALARS = (str, int, float, bool, type(None))
 
 
 def _json_default(value: Any) -> Any:
@@ -121,13 +147,25 @@ def canonical_row(row: Dict[str, Any]) -> Dict[str, Any]:
     Raises:
         TypeError: for a row JSON cannot represent.
     """
+    if all(
+        type(key) is str and type(value) in _JSON_SCALARS
+        for key, value in row.items()
+    ):
+        return dict(sorted(row.items()))  # the round-trip would only sort
     return json.loads(json.dumps(row, sort_keys=True, default=_json_default))
 
 
-def _points_fingerprint(points: Sequence[Any]) -> str:
-    """Stable digest of the sweep's point list (order-sensitive)."""
-    payload = json.dumps(points, sort_keys=True, default=repr)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def sweep_fingerprint(
+    points: Sequence[Any], spec: Optional[Dict[str, Any]] = None
+) -> str:
+    """The sweep identity checkpoints and the distributed handshake carry:
+    a digest of the ordered points, plus the spec of a scenario sweep
+    (an opaque ``"callable"`` spec, or none, adds nothing)."""
+    payload: Any = points
+    if spec is not None and spec.get("kind") in _SPEC_FIELDS:
+        payload = {"points": points, "spec": spec}
+    text = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _load_checkpoint(path: str, fingerprint: str) -> Dict[int, Any]:
@@ -149,7 +187,7 @@ def _load_checkpoint(path: str, fingerprint: str) -> Dict[int, Any]:
     if state.get("fingerprint") != fingerprint:
         raise SimulationError(
             f"checkpoint file {path!r} was written by a different sweep "
-            "(point list mismatch); delete it or use a fresh path"
+            "(point list or spec mismatch); delete it or use a fresh path"
         )
     completed = state.get("completed", {})
     return {int(index): row for index, row in completed.items()}
@@ -195,12 +233,15 @@ def _run_points(
     timeout: Optional[float],
     max_retries: int,
     canonical: bool = False,
+    spec: Optional[Dict[str, Any]] = None,
 ) -> List[Dict[str, Any]]:
     """Shared sweep engine: resume from checkpoint, compute the rest.
 
     ``canonical=True`` (or any checkpointed run) passes every row
     through :func:`canonical_row` so all execution paths — fresh,
     resumed, batched, distributed — return byte-identical row lists.
+    ``spec`` joins the points in the checkpoint identity
+    (:func:`sweep_fingerprint`).
 
     Observability: with instrumentation active the engine counts every
     point (``sweep.points``), marks the ones served from a checkpoint
@@ -218,7 +259,7 @@ def _run_points(
         fingerprint = None
         completed: Dict[int, Any] = {}
     else:
-        fingerprint = _points_fingerprint(points)
+        fingerprint = sweep_fingerprint(points, spec)
         completed = {
             index: canonical_row(row)
             for index, row in _load_checkpoint(checkpoint, fingerprint).items()
@@ -302,6 +343,16 @@ def sweep(
     )
 
 
+def grid_points(grids: Dict[str, Sequence[Any]]) -> List[Dict[str, Any]]:
+    """The cartesian points of ``grids`` in row-major (first key slowest)
+    order — the sweep order of every grid sweep."""
+    names = list(grids)
+    return [
+        dict(zip(names, values))
+        for values in itertools.product(*(grids[name] for name in names))
+    ]
+
+
 def grid_sweep(
     grids: Dict[str, Sequence[Any]],
     compute: Callable[..., Dict[str, Any]],
@@ -325,22 +376,8 @@ def grid_sweep(
     Returns:
         Rows in row-major (first key slowest) order.
     """
-    names = list(grids)
-    points: List[Dict[str, Any]] = []
-
-    def recurse(index: int, bound: Dict[str, Any]) -> None:
-        if index == len(names):
-            points.append(dict(bound))
-            return
-        name = names[index]
-        for value in grids[name]:
-            bound[name] = value
-            recurse(index + 1, bound)
-        del bound[name]
-
-    recurse(0, {})
     return _run_points(
-        points,
+        grid_points(grids),
         compute,
         workers=workers,
         kwargs_items=True,
@@ -350,58 +387,269 @@ def grid_sweep(
     )
 
 
-def _grid_points(grids: Dict[str, Sequence[Any]]) -> List[Dict[str, Any]]:
-    """Row-major cartesian points, exactly as :func:`grid_sweep` builds them."""
-    names = list(grids)
-    points: List[Dict[str, Any]] = []
+# ----------------------------------------------------------------------
+# Scenario sweeps: spec, point function, one-pass grid, planner
+# ----------------------------------------------------------------------
 
-    def recurse(index: int, bound: Dict[str, Any]) -> None:
-        if index == len(names):
-            points.append(dict(bound))
-            return
-        name = names[index]
-        for value in grids[name]:
-            bound[name] = value
-            recurse(index + 1, bound)
-        del bound[name]
 
-    recurse(0, {})
-    return points
+def sweep_spec(kind: str, scenario: Scenario, **params: Any) -> Dict[str, Any]:
+    """The spec of a scenario sweep: ``{"kind", "scenario", **params}``
+    with every parameter of the kind (:data:`_SPEC_FIELDS`) filled in;
+    the other kind's parameters are ignored.
+
+    Raises:
+        AnalysisError: for an unknown ``kind`` or parameter name.
+    """
+    if kind not in _SPEC_FIELDS:
+        raise AnalysisError(
+            f"kind must be 'analytical' or 'simulated', got {kind!r}"
+        )
+    unknown = sorted(set(params).difference(*_SPEC_FIELDS.values()))
+    if unknown:
+        raise AnalysisError(f"unknown sweep parameter(s) {unknown}")
+    fields = _SPEC_FIELDS[kind]
+    return {
+        "kind": kind,
+        "scenario": scenario.to_dict(),
+        **{name: params.get(name, default) for name, default in fields.items()},
+    }
+
+
+def _resolved(spec: Dict[str, Any]) -> Tuple[Scenario, Dict[str, Any]]:
+    """The spec's template scenario, and the spec with defaults filled."""
+    spec = {**_SPEC_FIELDS[spec["kind"]], **spec}
+    return Scenario.from_dict(spec["scenario"]), spec
+
+
+def _at(scenario: Scenario, point: Dict[str, Any]) -> Scenario:
+    """``scenario`` with the point's fields applied — all but
+    ``threshold``, which both kinds apply to the finished answer."""
+    changes = {name: value for name, value in point.items() if name != "threshold"}
+    return scenario.replace(**changes) if changes else scenario
+
+
+def _engine(scenario: Scenario, spec: Dict[str, Any]) -> Any:
+    """The analytical engine an ``"analytical"`` spec evaluates with."""
+    from repro.core.markov_spatial import MarkovSpatialAnalysis
+
+    return MarkovSpatialAnalysis(
+        scenario,
+        body_truncation=spec["body_truncation"],
+        head_truncation=spec["head_truncation"],
+        substeps=spec["substeps"],
+    )
+
+
+def _mc_fields(detections: int, trials: int) -> Dict[str, Any]:
+    """The Monte Carlo columns of a simulated row."""
+    return {
+        "trials": trials,
+        "detections": detections,
+        "detection_probability": detections / trials,
+    }
 
 
 def _analytical_point(
-    scenario: Any,
-    body_truncation: int,
-    head_truncation: Optional[int],
-    substeps: int,
-    normalize: bool,
-    **point: Any,
+    scenario: Scenario, spec: Dict[str, Any], **point: Any
 ) -> Dict[str, Any]:
     """One analytical sweep row: the engine's singleton form.
 
-    Module-level (hence picklable for ``workers > 1``).  The engine is
-    batch-invariant, so per-point rows are **bitwise** equal to the
-    corresponding batched-grid rows and to ``/analyze`` answers.
+    The engine is batch-invariant, so per-point rows are **bitwise**
+    equal to the corresponding batched-grid rows and to ``/analyze``
+    answers.
     """
-    from repro.core.markov_spatial import MarkovSpatialAnalysis
+    value = _engine(_at(scenario, point), spec).detection_probability(
+        threshold=point.get("threshold"), normalize=spec["normalize"]
+    )
+    return {**point, "detection_probability": value}
 
-    threshold = point.get("threshold")
-    replacements = {
-        name: value for name, value in point.items() if name != "threshold"
+
+def _simulated_point(
+    scenario: Scenario, spec: Dict[str, Any], **point: Any
+) -> Dict[str, Any]:
+    """One simulated sweep row.
+
+    Every point runs with the *same* root seed — a crude
+    common-random-numbers scheme that keeps rows deterministic without
+    threading per-point seed material through the checkpoint format.
+    ``threshold`` never reaches the simulator (report counts do not
+    depend on it); it is applied to the finished trial counts.
+    """
+    from repro.simulation.runner import MonteCarloSimulator
+
+    result = MonteCarloSimulator(
+        _at(scenario, point),
+        trials=spec["trials"],
+        seed=spec["seed"],
+        boundary=spec["boundary"],
+        batch_size=spec["batch_size"],
+    ).run()
+    threshold = point.get("threshold", scenario.threshold)
+    detections = int(np.count_nonzero(result.report_counts >= threshold))
+    return {**point, **_mc_fields(detections, spec["trials"])}
+
+
+def point_function(spec: Dict[str, Any]) -> Callable[..., Dict[str, Any]]:
+    """The per-point function of a scenario-sweep spec: called with a
+    point's fields, it returns the point's row (a picklable
+    :func:`functools.partial`, run alike by the serial, pool and
+    distributed paths)."""
+    scenario, spec = _resolved(spec)
+    point = _analytical_point if spec["kind"] == "analytical" else _simulated_point
+    return functools.partial(point, scenario, spec)
+
+
+def grid_function(
+    spec: Dict[str, Any],
+    grids: Dict[str, Sequence[Any]],
+    timeout: Optional[float] = None,
+    max_retries: int = 2,
+) -> Callable[..., Dict[str, Any]]:
+    """Answer a :data:`BATCHED_FIELDS` grid in one engine pass (a batched
+    analytical grid, or a fused Monte Carlo pass over ``spec["shards"]``
+    processes); returns a lookup shaped like :func:`point_function`."""
+    scenario, spec = _resolved(spec)
+    num_sensors = list(grids.get("num_sensors", [scenario.num_sensors]))
+    thresholds = list(grids.get("threshold", [scenario.threshold]))
+    if spec["kind"] == "analytical":
+        values = _engine(scenario, spec).detection_probability_grid(
+            num_sensors=num_sensors,
+            thresholds=thresholds,
+            normalize=spec["normalize"],
+        )
+
+        def cell(value: Any) -> Dict[str, Any]:
+            return {"detection_probability": float(value)}
+
+    else:
+        from repro.simulation.fused import FusedMonteCarloEngine
+
+        values = FusedMonteCarloEngine(
+            scenario,
+            num_sensors=num_sensors,
+            thresholds=thresholds,
+            trials=spec["trials"],
+            seed=spec["seed"],
+            boundary=spec["boundary"],
+            batch_size=spec["batch_size"],
+        ).run(
+            workers=spec.get("shards", 1),
+            timeout=timeout,
+            max_retries=max_retries,
+        ).detections_grid()
+
+        def cell(value: Any) -> Dict[str, Any]:
+            return _mc_fields(int(value), spec["trials"])
+
+    table = {
+        (n, k): cell(values[i, j])
+        for i, n in enumerate(num_sensors)
+        for j, k in enumerate(thresholds)
     }
-    target = scenario.replace(**replacements) if replacements else scenario
-    engine = MarkovSpatialAnalysis(
-        target,
-        body_truncation=body_truncation,
-        head_truncation=head_truncation,
-        substeps=substeps,
+
+    def compute(**point: Any) -> Dict[str, Any]:
+        key = (
+            point.get("num_sensors", scenario.num_sensors),
+            point.get("threshold", scenario.threshold),
+        )
+        return {**point, **table[key]}
+
+    return compute
+
+
+def scenario_sweep(
+    kind: str,
+    scenario: Scenario,
+    grids: Dict[str, Sequence[Any]],
+    batch: Any = "auto",
+    workers: int = 1,
+    checkpoint: Optional[str] = None,
+    timeout: Optional[float] = None,
+    max_retries: int = 2,
+    fleet: Optional[Tuple[str, int]] = None,
+    **params: Any,
+) -> List[Dict[str, Any]]:
+    """Plan and run a scenario sweep: one engine pass, per point, or a fleet.
+
+    The planner behind :func:`analytical_grid_sweep`,
+    :func:`simulated_grid_sweep` (whose ``fused`` is ``batch`` here),
+    :func:`distributed_grid_sweep`, ``repro sweep`` and the service's
+    sweeps; the arguments mean what they mean there.  ``kind`` and
+    ``params`` make the spec (:func:`sweep_spec`); ``fleet=(host,
+    port)`` runs the points on a local work-stealing worker fleet bound
+    there, with ``workers`` worker processes.
+    """
+    if not grids:
+        raise AnalysisError("grids must name at least one scenario field")
+    unknown = [name for name in grids if name not in SWEEPABLE_FIELDS]
+    if unknown:
+        raise AnalysisError(
+            f"unknown scenario field(s) {unknown}; sweepable fields are "
+            f"{list(SWEEPABLE_FIELDS)}"
+        )
+    spec = sweep_spec(kind, scenario, **params)
+    batchable = all(name in BATCHED_FIELDS for name in grids)
+    if batch is True and not batchable:
+        blocking = sorted(set(grids) - set(BATCHED_FIELDS))
+        error, option, able = (
+            (AnalysisError, "batch", "batchable")
+            if kind == "analytical"
+            else (SimulationError, "fused", "fusable")
+        )
+        raise error(
+            f"{option}=True but axis(es) {blocking} are not {able}; only "
+            f"{list(BATCHED_FIELDS)} are answered in one engine pass"
+        )
+    batched = batchable and batch is not False and fleet is None
+    if kind == "simulated":
+        # Fused rows differ from per-point rows, and with the shard
+        # count: the checkpoint identity must know which ran.
+        spec["fused"] = batched
+        if batched:
+            spec["shards"] = workers
+    points = grid_points(grids)
+    if fleet is not None:
+        # Imported lazily: repro.distributed imports this module.
+        from repro.distributed import distributed_sweep
+
+        host, port = fleet
+        return distributed_sweep(
+            points,
+            spec,
+            workers=workers,
+            checkpoint=checkpoint,
+            timeout=timeout,
+            host=host,
+            port=port,
+        )
+    if batched:
+        lookup: List[Callable[..., Dict[str, Any]]] = []
+
+        def compute(**point: Any) -> Dict[str, Any]:
+            # The pass runs at the first missing point, so a sweep
+            # resumed whole from its checkpoint costs no engine pass.
+            if not lookup:
+                lookup.append(grid_function(spec, grids, timeout, max_retries))
+            return lookup[0](**point)
+
+        workers = 1  # one pass; a pool would only add pickling
+    else:
+        ob = obs.current()
+        if ob.enabled:
+            counter = "batch.fallbacks" if kind == "analytical" else "mc.fallbacks"
+            ob.incr(counter, len(points))
+        compute = point_function(spec)
+    return _run_points(
+        points,
+        compute,
+        workers=workers,
+        kwargs_items=True,
+        checkpoint=checkpoint,
+        timeout=timeout,
+        max_retries=max_retries,
+        canonical=True,
+        spec=spec,
     )
-    value = engine.detection_probability(
-        threshold=threshold, normalize=normalize
-    )
-    row = dict(point)
-    row["detection_probability"] = value
-    return row
 
 
 def analytical_grid_sweep(
@@ -444,118 +692,20 @@ def analytical_grid_sweep(
         AnalysisError: for a field the scenario does not have, or
             ``batch=True`` with a non-batchable axis.
     """
-    if not grids:
-        raise AnalysisError("grids must name at least one scenario field")
-    unknown = [
-        name for name in grids if not hasattr(scenario, name)
-    ]
-    if unknown:
-        raise AnalysisError(
-            f"unknown scenario field(s) {unknown}; sweepable fields are "
-            "the Scenario dataclass fields"
-        )
-    batchable = all(name in BATCHED_FIELDS for name in grids)
-    if batch is True and not batchable:
-        blocking = sorted(set(grids) - set(BATCHED_FIELDS))
-        raise AnalysisError(
-            f"batch=True but axis(es) {blocking} are not batchable; "
-            f"only {list(BATCHED_FIELDS)} broadcast through the kernel"
-        )
-    points = _grid_points(grids)
-    use_batched = batchable and batch is not False
-    if use_batched:
-        from repro.core.markov_spatial import MarkovSpatialAnalysis
-
-        num_sensors = list(grids.get("num_sensors", [scenario.num_sensors]))
-        thresholds = list(grids.get("threshold", [scenario.threshold]))
-        engine = MarkovSpatialAnalysis(
-            scenario,
-            body_truncation=body_truncation,
-            head_truncation=head_truncation,
-            substeps=substeps,
-        )
-        grid = engine.detection_probability_grid(
-            num_sensors=num_sensors,
-            thresholds=thresholds,
-            normalize=normalize,
-        )
-        lookup = {}
-        for row_index, n in enumerate(num_sensors):
-            for col_index, k in enumerate(thresholds):
-                lookup[(n, k)] = float(grid[row_index, col_index])
-
-        def compute(**point: Any) -> Dict[str, Any]:
-            key = (
-                point.get("num_sensors", scenario.num_sensors),
-                point.get("threshold", scenario.threshold),
-            )
-            row = dict(point)
-            row["detection_probability"] = lookup[key]
-            return row
-
-        # The grid is already evaluated; the closure is a table lookup,
-        # so pool workers would only add pickling failures.
-        workers = 1
-    else:
-        ob = obs.current()
-        if ob.enabled:
-            ob.incr("batch.fallbacks", len(points))
-        compute = functools.partial(
-            _analytical_point,
-            scenario,
-            body_truncation,
-            head_truncation,
-            substeps,
-            normalize,
-        )
-    return _run_points(
-        points,
-        compute,
+    return scenario_sweep(
+        "analytical",
+        scenario,
+        grids,
+        batch=batch,
         workers=workers,
-        kwargs_items=True,
         checkpoint=checkpoint,
         timeout=timeout,
         max_retries=max_retries,
-        canonical=True,
+        body_truncation=body_truncation,
+        head_truncation=head_truncation,
+        substeps=substeps,
+        normalize=normalize,
     )
-
-
-def _simulated_point(
-    scenario: Any,
-    trials: int,
-    seed: Optional[int],
-    boundary: str,
-    batch_size: int,
-    **point: Any,
-) -> Dict[str, Any]:
-    """One simulated sweep row (module-level, hence picklable).
-
-    Every point runs with the *same* root seed — a crude
-    common-random-numbers scheme that keeps rows deterministic without
-    threading per-point seed material through the checkpoint format.
-    ``threshold`` never reaches the simulator (report counts do not
-    depend on it); it is applied to the finished trial counts.
-    """
-    from repro.simulation.runner import MonteCarloSimulator
-
-    threshold = point.get("threshold", scenario.threshold)
-    replacements = {
-        name: value for name, value in point.items() if name != "threshold"
-    }
-    target = scenario.replace(**replacements) if replacements else scenario
-    result = MonteCarloSimulator(
-        target,
-        trials=trials,
-        seed=seed,
-        boundary=boundary,
-        batch_size=batch_size,
-    ).run()
-    detections = int(np.count_nonzero(result.report_counts >= threshold))
-    row = dict(point)
-    row["trials"] = trials
-    row["detections"] = detections
-    row["detection_probability"] = detections / trials
-    return row
 
 
 def simulated_grid_sweep(
@@ -588,10 +738,8 @@ def simulated_grid_sweep(
             (:func:`repro.parallel.run_fused_parallel`); on the
             per-point path, pool processes per point.
         checkpoint: optional JSON path, same resume semantics as
-            :func:`grid_sweep`.  A checkpoint written by one dispatch
-            path must not resume the other (the fingerprint only covers
-            the point list), so pass ``fused=True`` / ``False`` rather
-            than ``"auto"`` when resuming matters.
+            :func:`grid_sweep`; a checkpoint written by the other
+            dispatch path (or another shard count) is refused.
         timeout / max_retries: pool options (both paths).
         fused: ``"auto"`` (default) dispatches to the fused engine when
             every swept field is in :data:`BATCHED_FIELDS`; ``False``
@@ -604,77 +752,19 @@ def simulated_grid_sweep(
         SimulationError: ``fused=True`` with a non-fusable axis, or
             invalid simulation parameters.
     """
-    if not grids:
-        raise AnalysisError("grids must name at least one scenario field")
-    unknown = [name for name in grids if not hasattr(scenario, name)]
-    if unknown:
-        raise AnalysisError(
-            f"unknown scenario field(s) {unknown}; sweepable fields are "
-            "the Scenario dataclass fields"
-        )
-    fusable = all(name in BATCHED_FIELDS for name in grids)
-    if fused is True and not fusable:
-        blocking = sorted(set(grids) - set(BATCHED_FIELDS))
-        raise SimulationError(
-            f"fused=True but axis(es) {blocking} are not fusable; only "
-            f"{list(BATCHED_FIELDS)} ride one common-random-numbers pass"
-        )
-    points = _grid_points(grids)
-    if fusable and fused is not False:
-        from repro.simulation.fused import FusedMonteCarloEngine
-
-        num_sensors = list(grids.get("num_sensors", [scenario.num_sensors]))
-        thresholds = list(grids.get("threshold", [scenario.threshold]))
-        result = FusedMonteCarloEngine(
-            scenario,
-            num_sensors=num_sensors,
-            thresholds=thresholds,
-            trials=trials,
-            seed=seed,
-            boundary=boundary,
-            batch_size=batch_size,
-        ).run(workers=workers)
-        detections = result.detections_grid()
-        lookup = {}
-        for row_index, n in enumerate(num_sensors):
-            for col_index, k in enumerate(thresholds):
-                lookup[(n, k)] = int(detections[row_index, col_index])
-
-        def compute(**point: Any) -> Dict[str, Any]:
-            key = (
-                point.get("num_sensors", scenario.num_sensors),
-                point.get("threshold", scenario.threshold),
-            )
-            row = dict(point)
-            row["trials"] = trials
-            row["detections"] = lookup[key]
-            row["detection_probability"] = lookup[key] / trials
-            return row
-
-        # The pass already ran (its trials possibly sharded over
-        # `workers`); the closure is a table lookup.
-        workers = 1
-    else:
-        ob = obs.current()
-        if ob.enabled:
-            ob.incr("mc.fallbacks", len(points))
-        compute = functools.partial(
-            _simulated_point,
-            scenario,
-            trials,
-            seed,
-            boundary,
-            batch_size,
-        )
-    return _run_points(
-        points,
-        compute,
+    return scenario_sweep(
+        "simulated",
+        scenario,
+        grids,
+        batch=fused,
         workers=workers,
-        kwargs_items=True,
         checkpoint=checkpoint,
         timeout=timeout,
         max_retries=max_retries,
-        canonical=True,
+        trials=trials,
+        seed=seed,
+        boundary=boundary,
+        batch_size=batch_size,
     )
 
 
@@ -736,46 +826,21 @@ def distributed_grid_sweep(
         AnalysisError: unknown grid fields or an unknown ``kind``.
         SimulationError: the fleet failed to complete the sweep.
     """
-    if not grids:
-        raise AnalysisError("grids must name at least one scenario field")
-    unknown = [name for name in grids if not hasattr(scenario, name)]
-    if unknown:
-        raise AnalysisError(
-            f"unknown scenario field(s) {unknown}; sweepable fields are "
-            "the Scenario dataclass fields"
-        )
-    if kind == "analytical":
-        spec: Dict[str, Any] = {
-            "kind": "analytical",
-            "scenario": scenario.to_dict(),
-            "body_truncation": body_truncation,
-            "head_truncation": head_truncation,
-            "substeps": substeps,
-            "normalize": normalize,
-        }
-    elif kind == "simulated":
-        spec = {
-            "kind": "simulated",
-            "scenario": scenario.to_dict(),
-            "trials": trials,
-            "seed": seed,
-            "boundary": boundary,
-            "batch_size": batch_size,
-        }
-    else:
-        raise AnalysisError(
-            f"kind must be 'analytical' or 'simulated', got {kind!r}"
-        )
-    # Imported lazily: repro.distributed imports this module's checkpoint
-    # helpers, so a top-level import would be circular.
-    from repro.distributed import distributed_sweep
-
-    return distributed_sweep(
-        _grid_points(grids),
-        spec,
+    return scenario_sweep(
+        kind,
+        scenario,
+        grids,
+        batch=False,
         workers=workers,
         checkpoint=checkpoint,
         timeout=timeout,
-        host=host,
-        port=port,
+        fleet=(host, port),
+        body_truncation=body_truncation,
+        head_truncation=head_truncation,
+        substeps=substeps,
+        normalize=normalize,
+        trials=trials,
+        seed=seed,
+        boundary=boundary,
+        batch_size=batch_size,
     )

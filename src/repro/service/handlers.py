@@ -36,6 +36,11 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError, ScenarioError, SimulationError
+from repro.experiments.sweeps import (
+    BATCHED_FIELDS,
+    SWEEPABLE_FIELDS,
+    scenario_sweep,
+)
 
 __all__ = [
     "ENDPOINTS",
@@ -60,17 +65,6 @@ MAX_TRIALS = 200_000
 
 #: Upper bound on values per ``/sweep`` request.
 MAX_SWEEP_POINTS = 256
-
-#: Scenario fields a sweep may vary (numeric knobs of the model).
-SWEEPABLE_FIELDS = (
-    "num_sensors",
-    "sensing_range",
-    "target_speed",
-    "sensing_period",
-    "detect_prob",
-    "window",
-    "threshold",
-)
 
 _BOUNDARY_MODES = ("torus", "clip", "interior")
 
@@ -124,6 +118,56 @@ def _unknown_keys(payload: Dict[str, Any], allowed: tuple) -> None:
         raise RequestError(
             f"unknown field(s) {unknown}; allowed: {sorted(allowed)}"
         )
+
+
+def _canonical_axis(
+    payload: Dict[str, Any],
+    base: Scenario,
+    allowed: tuple,
+    where: str = "",
+    body_stage: bool = False,
+):
+    """Validate a sweep axis (``parameter`` + ``values``) against ``base``.
+
+    Returns ``(parameter, canonical values)``.  Values of an integer
+    field must be integral; ``body_stage`` also requires every point to
+    keep ``window > ms``.  ``where`` prefixes field names in messages.
+    """
+    parameter = payload.get("parameter")
+    if parameter not in allowed:
+        raise RequestError(
+            f"'{where}parameter' must be one of {sorted(allowed)}, "
+            f"got {parameter!r}"
+        )
+    values = payload.get("values")
+    if not isinstance(values, (list, tuple)) or not values:
+        raise RequestError(f"'{where}values' must be a non-empty list")
+    if len(values) > MAX_SWEEP_POINTS:
+        raise RequestError(
+            f"'{where}values' must have <= {MAX_SWEEP_POINTS} points, "
+            f"got {len(values)}"
+        )
+    base_dict = base.to_dict()
+    canonical_values: List[Any] = []
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise RequestError(f"sweep values must be numbers, got {value!r}")
+        if isinstance(base_dict[parameter], int) and float(value) != int(value):
+            raise RequestError(
+                f"'{parameter}' sweep values must be integers, got {value!r}"
+            )
+        try:
+            point = Scenario.from_dict({**base_dict, parameter: value})
+        except ScenarioError as exc:
+            raise RequestError(
+                f"sweep value {value!r} for {parameter!r} is invalid: {exc}"
+            ) from exc
+        if body_stage and not point.has_body_stage:
+            raise RequestError(
+                f"sweep value {value!r} for {parameter!r} leaves window <= ms"
+            )
+        canonical_values.append(point.to_dict()[parameter])
+    return parameter, canonical_values
 
 
 # ----------------------------------------------------------------------
@@ -188,55 +232,6 @@ def compute_analyze(request: Dict[str, Any]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
-#: ``/simulate`` sweep axes the fused engine can answer in one pass
-#: (common random numbers over a deployment prefix / shared totals).
-FUSED_SWEEP_FIELDS = ("num_sensors", "threshold")
-
-
-def _canonical_simulate_sweep(payload: Dict[str, Any], base: Scenario):
-    """Validate the optional ``/simulate`` ``"sweep"`` sub-object."""
-    spec = payload.get("sweep")
-    if spec is None:
-        return None
-    spec = _require_dict(spec, "'sweep'")
-    _unknown_keys(spec, ("parameter", "values"))
-    parameter = spec.get("parameter")
-    if parameter not in FUSED_SWEEP_FIELDS:
-        raise RequestError(
-            f"'sweep.parameter' must be one of {sorted(FUSED_SWEEP_FIELDS)} "
-            f"(axes one fused Monte Carlo pass can answer), got {parameter!r}"
-        )
-    values = spec.get("values")
-    if not isinstance(values, (list, tuple)) or not values:
-        raise RequestError("'sweep.values' must be a non-empty list")
-    if len(values) > MAX_SWEEP_POINTS:
-        raise RequestError(
-            f"'sweep.values' must have <= {MAX_SWEEP_POINTS} points, "
-            f"got {len(values)}"
-        )
-    base_dict = base.to_dict()
-    canonical_values: List[int] = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RequestError(
-                f"sweep values must be numbers, got {value!r}"
-            )
-        if float(value) != int(value):
-            raise RequestError(
-                f"'{parameter}' sweep values must be integers, got {value!r}"
-            )
-        point = dict(base_dict)
-        point[parameter] = int(value)
-        try:
-            point_scenario = Scenario.from_dict(point)
-        except ScenarioError as exc:
-            raise RequestError(
-                f"sweep value {value!r} for {parameter!r} is invalid: {exc}"
-            ) from exc
-        canonical_values.append(point_scenario.to_dict()[parameter])
-    return {"parameter": parameter, "values": canonical_values}
-
-
 def canonicalize_simulate(payload: Any) -> Dict[str, Any]:
     """Validate a ``/simulate`` body; fill defaults; return canonical form.
 
@@ -255,75 +250,67 @@ def canonicalize_simulate(payload: Any) -> Dict[str, Any]:
         raise RequestError(
             f"'boundary' must be one of {_BOUNDARY_MODES}, got {boundary!r}"
         )
+    sweep = payload.get("sweep")
+    if sweep is not None:
+        sweep = _require_dict(sweep, "'sweep'")
+        _unknown_keys(sweep, ("parameter", "values"))
+        parameter, values = _canonical_axis(
+            sweep, scenario, BATCHED_FIELDS, "sweep."
+        )
+        sweep = {"parameter": parameter, "values": values}
     return {
         "scenario": scenario.to_dict(),
         "trials": trials,
         "seed": seed,
         "boundary": boundary,
-        "sweep": _canonical_simulate_sweep(payload, scenario),
+        "sweep": sweep,
     }
 
 
 def compute_simulate(request: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-side kernel for ``/simulate`` (deterministic in the seed).
 
-    With a ``sweep`` the whole axis is answered by one
-    :class:`~repro.simulation.fused.FusedMonteCarloEngine` pass; the
-    response gains a ``"rows"`` list (one Wilson-intervalled estimate per
-    value) and its top-level estimate is the base scenario's own point.
+    With a ``sweep`` the whole axis is answered by one fused Monte Carlo
+    pass (the rows ``simulated_grid_sweep`` returns); the response
+    carries a ``"rows"`` list, one Wilson-intervalled estimate per value.
     """
     from repro.simulation.runner import MonteCarloSimulator
+    from repro.simulation.stats import wilson_interval
 
     scenario = Scenario.from_dict(request["scenario"])
+    trials = request["trials"]
     sweep = request.get("sweep")
     if sweep is not None:
-        from repro.simulation.fused import FusedMonteCarloEngine
-
         parameter = sweep["parameter"]
-        values = list(sweep["values"])
-        axes = {
-            "num_sensors": [scenario.num_sensors],
-            "thresholds": [scenario.threshold],
-        }
-        axes["num_sensors" if parameter == "num_sensors" else "thresholds"] = (
-            values
-        )
-        result = FusedMonteCarloEngine(
-            scenario,
-            trials=request["trials"],
-            seed=request["seed"],
-            boundary=request["boundary"],
-            **axes,
-        ).run()
-        detections = result.detections_grid()
-        intervals = result.confidence_interval_grid()
-        rows = []
-        for index, value in enumerate(values):
-            i, j = (index, 0) if parameter == "num_sensors" else (0, index)
-            rows.append(
-                {
-                    parameter: value,
-                    "detections": int(detections[i, j]),
-                    "detection_probability": float(
-                        detections[i, j] / result.trials
-                    ),
-                    "confidence_interval": [
-                        float(intervals[i, j, 0]),
-                        float(intervals[i, j, 1]),
-                    ],
-                }
+        rows = [
+            {
+                parameter: row[parameter],
+                "detections": row["detections"],
+                "detection_probability": row["detection_probability"],
+                "confidence_interval": list(
+                    wilson_interval(row["detections"], trials)
+                ),
+            }
+            for row in scenario_sweep(
+                "simulated",
+                scenario,
+                {parameter: sweep["values"]},
+                trials=trials,
+                seed=request["seed"],
+                boundary=request["boundary"],
             )
+        ]
         return {
             "parameter": parameter,
             "rows": rows,
-            "trials": request["trials"],
+            "trials": trials,
             "seed": request["seed"],
             "boundary": request["boundary"],
             "scenario": request["scenario"],
         }
     result = MonteCarloSimulator(
         scenario,
-        trials=request["trials"],
+        trials=trials,
         seed=request["seed"],
         boundary=request["boundary"],
     ).run()
@@ -332,7 +319,7 @@ def compute_simulate(request: Dict[str, Any]) -> Dict[str, Any]:
         "detection_probability": result.detection_probability,
         "standard_error": result.standard_error(),
         "confidence_interval": [low, high],
-        "trials": request["trials"],
+        "trials": trials,
         "seed": request["seed"],
         "boundary": request["boundary"],
         "scenario": request["scenario"],
@@ -352,102 +339,40 @@ def canonicalize_sweep(payload: Any) -> Dict[str, Any]:
         ("scenario", "parameter", "values", "body_truncation", "substeps"),
     )
     base = _scenario_from(payload)
-    parameter = payload.get("parameter")
-    if parameter not in SWEEPABLE_FIELDS:
-        raise RequestError(
-            f"'parameter' must be one of {sorted(SWEEPABLE_FIELDS)}, "
-            f"got {parameter!r}"
-        )
-    values = payload.get("values")
-    if not isinstance(values, (list, tuple)) or not values:
-        raise RequestError("'values' must be a non-empty list")
-    if len(values) > MAX_SWEEP_POINTS:
-        raise RequestError(
-            f"'values' must have <= {MAX_SWEEP_POINTS} points, got {len(values)}"
-        )
-    body_truncation = _int_field(payload, "body_truncation", 3, 1, 64)
-    substeps = _int_field(payload, "substeps", 1, 1, 16)
-    base_dict = base.to_dict()
-    canonical_values: List[Any] = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RequestError(f"sweep values must be numbers, got {value!r}")
-        point = dict(base_dict)
-        point[parameter] = value
-        try:
-            point_scenario = Scenario.from_dict(point)
-        except ScenarioError as exc:
-            raise RequestError(
-                f"sweep value {value!r} for {parameter!r} is invalid: {exc}"
-            ) from exc
-        if not point_scenario.has_body_stage:
-            raise RequestError(
-                f"sweep value {value!r} for {parameter!r} leaves window <= ms"
-            )
-        canonical_values.append(point_scenario.to_dict()[parameter])
+    parameter, values = _canonical_axis(
+        payload, base, SWEEPABLE_FIELDS, body_stage=True
+    )
     return {
-        "scenario": base_dict,
+        "scenario": base.to_dict(),
         "parameter": parameter,
-        "values": canonical_values,
-        "body_truncation": body_truncation,
-        "substeps": substeps,
+        "values": values,
+        "body_truncation": _int_field(payload, "body_truncation", 3, 1, 64),
+        "substeps": _int_field(payload, "substeps", 1, 1, 16),
     }
 
 
 def compute_sweep(request: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-side kernel for ``/sweep``.
 
-    A ``num_sensors`` or ``threshold`` axis is answered by one
-    :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` evaluation
-    (one kernel call for the whole request); other axes change the
-    geometry or detection physics and run per point on the batched
-    kernel's singleton form, sharing the worker's process-wide analysis
-    cache.  Either way, rows are bitwise identical between the two
-    shapes because the kernel is batch-invariant.
+    The axis is planned like any analytical sweep
+    (:func:`repro.experiments.sweeps.scenario_sweep`): a ``num_sensors``
+    or ``threshold`` axis is one batched engine evaluation; other axes
+    run the sweep layer's per-point function, sharing the worker's
+    process-wide analysis cache.  Either way the rows are bitwise those
+    of ``analytical_grid_sweep``.
     """
-    from repro.experiments.sweeps import BATCHED_FIELDS
-
-    base = request["scenario"]
-    parameter = request["parameter"]
-    rows = []
-    if parameter in BATCHED_FIELDS:
-        engine = MarkovSpatialAnalysis(
-            Scenario.from_dict(base),
+    return {
+        "parameter": request["parameter"],
+        "rows": scenario_sweep(
+            "analytical",
+            Scenario.from_dict(request["scenario"]),
+            {request["parameter"]: request["values"]},
             body_truncation=request["body_truncation"],
             substeps=request["substeps"],
-        )
-        axis = {("num_sensors" if parameter == "num_sensors" else "thresholds")
-                : list(request["values"])}
-        grid = engine.detection_probability_grid(**axis)
-        flat = grid[:, 0] if parameter == "num_sensors" else grid[0]
-        for value, probability in zip(request["values"], flat):
-            rows.append(
-                {
-                    parameter: value,
-                    "detection_probability": float(probability),
-                }
-            )
-    else:
-        for value in request["values"]:
-            point = dict(base)
-            point[parameter] = value
-            engine = MarkovSpatialAnalysis(
-                Scenario.from_dict(point),
-                body_truncation=request["body_truncation"],
-                substeps=request["substeps"],
-            )
-            rows.append(
-                {
-                    parameter: value,
-                    "detection_probability": engine.detection_probability(),
-                }
-            )
-    return {
-        "parameter": parameter,
-        "rows": rows,
+        ),
         "body_truncation": request["body_truncation"],
         "substeps": request["substeps"],
-        "scenario": base,
+        "scenario": request["scenario"],
     }
 
 
@@ -474,44 +399,21 @@ def approximate_simulate(request: Dict[str, Any]) -> Dict[str, Any]:
     """Degraded ``/simulate``: the analytical prediction stands in.
 
     No Monte Carlo runs in degraded mode — the truncation-1 analytical
-    estimate of the same scenario is returned instead, without
-    ``detections``/``confidence_interval`` fields a real run would
-    carry (fabricating error bars for numbers that were never sampled
-    would be worse than omitting them).
+    estimate of the same scenario (or sweep axis) is returned instead,
+    without ``detections``/``confidence_interval`` fields a real run
+    would carry (fabricating error bars for numbers that were never
+    sampled would be worse than omitting them).
     """
-    scenario = Scenario.from_dict(request["scenario"])
     sweep = request.get("sweep")
-    if sweep is not None:
-        parameter = sweep["parameter"]
-        values = list(sweep["values"])
-        engine = MarkovSpatialAnalysis(
-            scenario, body_truncation=1, substeps=1
+    if sweep is None:
+        result = approximate_analyze(
+            {"scenario": request["scenario"], "normalize": True}
         )
-        axis = {
-            (
-                "num_sensors" if parameter == "num_sensors" else "thresholds"
-            ): values
-        }
-        grid = engine.detection_probability_grid(**axis)
-        flat = grid[:, 0] if parameter == "num_sensors" else grid[0]
-        rows = [
-            {parameter: value, "detection_probability": float(probability)}
-            for value, probability in zip(values, flat)
-        ]
-        return {
-            "parameter": parameter,
-            "rows": rows,
-            "scenario": request["scenario"],
-            "approximation": _APPROXIMATION_NOTE,
-        }
-    analysis = MarkovSpatialAnalysis(
-        scenario, body_truncation=1, head_truncation=1, substeps=1
-    )
-    return {
-        "detection_probability": analysis.detection_probability(),
-        "scenario": request["scenario"],
-        "approximation": _APPROXIMATION_NOTE,
-    }
+        keep = ("detection_probability", "scenario", "approximation")
+    else:
+        result = approximate_sweep({"scenario": request["scenario"], **sweep})
+        keep = ("parameter", "rows", "scenario", "approximation")
+    return {key: result[key] for key in keep}
 
 
 def approximate_sweep(request: Dict[str, Any]) -> Dict[str, Any]:

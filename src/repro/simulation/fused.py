@@ -284,13 +284,20 @@ class FusedMonteCarloEngine:
         """``max(num_sensors)`` — the fleet size actually deployed."""
         return self._max_sensors
 
-    def run(self, workers: Optional[int] = None) -> FusedSweepResult:
+    def run(
+        self,
+        workers: Optional[int] = None,
+        timeout: Optional[float] = None,
+        max_retries: int = 2,
+    ) -> FusedSweepResult:
         """Execute the fused pass and collect per-point trial outcomes.
 
         Args:
             workers: overrides the constructor's ``workers``; ``N > 1``
                 shards the trials across processes with the same
                 ``SeedSequence`` contract as the plain simulator.
+            timeout / max_retries: the shard pool's options, as on
+                :func:`repro.parallel.run_fused_parallel` (``N > 1``).
         """
         workers = self._workers if workers is None else workers
         if not isinstance(workers, (int, np.integer)) or workers < 1:
@@ -309,7 +316,9 @@ class FusedMonteCarloEngine:
             from repro.parallel import run_fused_parallel
 
             with ob.span("sim.fused_run", mode="parallel", workers=int(workers)):
-                return run_fused_parallel(self, int(workers))
+                return run_fused_parallel(
+                    self, int(workers), timeout=timeout, max_retries=max_retries
+                )
         with ob.span("sim.fused_run", mode="serial"):
             return self._run_serial(
                 self._trials, np.random.default_rng(self._seed)

@@ -248,3 +248,71 @@ class TestCrossEntryBits:
         }
         bits = {name: float.hex(value) for name, value in answers.items()}
         assert len(set(bits.values())) == 1, bits
+
+    @pytest.mark.parametrize(
+        "parameter, axis",
+        [("num_sensors", [120, 240]), ("detect_prob", [0.5, 0.9])],
+    )
+    def test_sweep_entry_points_agree_per_row(self, parameter, axis):
+        """A batched and a non-batched axis: ``/sweep``, both serial
+        dispatch modes and the fleet run the same point function or the
+        same one-pass grid, row for row."""
+        from repro.experiments.presets import onr_scenario
+        from repro.service.handlers import canonicalize_sweep, compute_sweep
+
+        scenario = onr_scenario(num_sensors=240, speed=10.0)
+        grids = {parameter: axis}
+        answers = {
+            "sweep": compute_sweep(
+                canonicalize_sweep(
+                    {
+                        "scenario": scenario.to_dict(),
+                        "parameter": parameter,
+                        "values": axis,
+                    }
+                )
+            )["rows"],
+            "grid": analytical_grid_sweep(scenario, grids),
+            "per_point": analytical_grid_sweep(scenario, grids, batch=False),
+            "distributed": distributed_grid_sweep(
+                scenario, grids, workers=2, timeout=120
+            ),
+        }
+        bits = {
+            name: tuple(
+                float.hex(row["detection_probability"]) for row in rows
+            )
+            for name, rows in answers.items()
+        }
+        assert len(set(bits.values())) == 1, bits
+
+    @pytest.mark.parametrize(
+        "parameter, axis", [("num_sensors", [6, 10]), ("threshold", [1, 2, 3])]
+    )
+    def test_simulate_sweep_matches_simulated_grid_sweep(
+        self, scenario, parameter, axis
+    ):
+        from repro.service.handlers import (
+            canonicalize_simulate,
+            compute_simulate,
+        )
+
+        response = compute_simulate(
+            canonicalize_simulate(
+                {
+                    "scenario": scenario.to_dict(),
+                    "trials": MC_TRIALS,
+                    "seed": MC_SEED,
+                    "sweep": {"parameter": parameter, "values": axis},
+                }
+            )
+        )
+        rows = simulated_grid_sweep(
+            scenario, {parameter: axis}, trials=MC_TRIALS, seed=MC_SEED
+        )
+        assert [row["detections"] for row in response["rows"]] == [
+            row["detections"] for row in rows
+        ]
+        assert [
+            float.hex(row["detection_probability"]) for row in response["rows"]
+        ] == [float.hex(row["detection_probability"]) for row in rows]

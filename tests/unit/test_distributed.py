@@ -21,7 +21,7 @@ from repro.distributed import (
 )
 from repro.distributed import protocol
 from repro.errors import ProtocolError, SimulationError, StreamError
-from repro.experiments.sweeps import _points_fingerprint
+from repro.experiments.sweeps import sweep_fingerprint
 
 
 def double_point(**point):
@@ -173,28 +173,28 @@ class TestProtocol:
     def test_welcome_fingerprint_must_match_points(self):
         points = [{"x": 1}, {"x": 2}]
         good = protocol.welcome_frame(
-            _points_fingerprint(points), points, DOUBLE_SPEC
+            sweep_fingerprint(points, DOUBLE_SPEC), points, DOUBLE_SPEC
         )
-        assert protocol.validate_welcome(good, _points_fingerprint) is good
+        assert protocol.validate_welcome(good, sweep_fingerprint) is good
         lying = dict(good, fingerprint="0" * 64)
         with pytest.raises(ProtocolError) as excinfo:
-            protocol.validate_welcome(lying, _points_fingerprint)
+            protocol.validate_welcome(lying, sweep_fingerprint)
         assert excinfo.value.code == "fingerprint"
 
     def test_welcome_pinned_to_expected_sweep(self):
         points = [{"x": 1}]
         frame = protocol.welcome_frame(
-            _points_fingerprint(points), points, DOUBLE_SPEC
+            sweep_fingerprint(points, DOUBLE_SPEC), points, DOUBLE_SPEC
         )
         with pytest.raises(ProtocolError, match="launched for"):
             protocol.validate_welcome(
-                frame, _points_fingerprint, expected_fingerprint="f" * 64
+                frame, sweep_fingerprint, expected_fingerprint="f" * 64
             )
 
     def test_error_frame_surfaces_as_typed_protocol_error(self):
         frame = protocol.error_frame("nope", code="duplicate")
         with pytest.raises(ProtocolError) as excinfo:
-            protocol.validate_welcome(frame, _points_fingerprint)
+            protocol.validate_welcome(frame, sweep_fingerprint)
         assert excinfo.value.code == "duplicate"
 
     def test_frames_encode_canonically(self):

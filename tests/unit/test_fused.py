@@ -251,6 +251,27 @@ class TestSimulatedGridSweep:
         assert "mc.fused_runs" not in counters
         assert len(rows) == 2
 
+    def test_fused_path_forwards_pool_options(self, small, monkeypatch):
+        import repro.parallel
+
+        seen = {}
+
+        def spy(engine, workers, **options):
+            seen.update(options, workers=workers)
+            return engine.run(workers=1)
+
+        monkeypatch.setattr(repro.parallel, "run_fused_parallel", spy)
+        simulated_grid_sweep(
+            small,
+            {"num_sensors": [10, 20]},
+            trials=20,
+            seed=SEED,
+            workers=2,
+            timeout=30.0,
+            max_retries=5,
+        )
+        assert seen == {"workers": 2, "timeout": 30.0, "max_retries": 5}
+
     def test_checkpoint_roundtrip(self, small, tmp_path):
         path = tmp_path / "fused.json"
         grids = {"num_sensors": [10, 20], "threshold": [2]}

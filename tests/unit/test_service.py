@@ -566,6 +566,16 @@ class TestRealEndpoints:
 
         run(main())
 
+    def test_sweep_values_of_integer_fields_must_be_integral(self):
+        """A non-integral ``num_sensors`` is refused, not truncated."""
+        from repro.service.handlers import RequestError, canonicalize_sweep
+
+        request = {"scenario": SCENARIO, "parameter": "num_sensors"}
+        with pytest.raises(RequestError, match="integers"):
+            canonicalize_sweep({**request, "values": [100.5]})
+        canonical = canonicalize_sweep({**request, "values": [100.0]})
+        assert canonical["values"] == [100]
+
     def test_batched_sweep_axis_matches_scalar_analysis(self):
         """``num_sensors`` sweeps take the one-grid-call batched path in
         the handler; each row must equal the singleton answer bitwise."""
@@ -641,6 +651,39 @@ class TestSimulateSweep:
             }
         )
         assert swept["sweep"] == {"parameter": "threshold", "values": [1, 3]}
+
+    def test_degraded_answer_is_the_truncation_one_analysis(self):
+        from repro.core.markov_spatial import MarkovSpatialAnalysis
+        from repro.core.scenario import Scenario
+        from repro.service.handlers import (
+            approximate_simulate,
+            canonicalize_simulate,
+        )
+
+        scenario = Scenario.from_dict(SCENARIO)
+        plain = approximate_simulate(
+            canonicalize_simulate({"scenario": SCENARIO, "trials": 10})
+        )
+        assert set(plain) == {"detection_probability", "scenario", "approximation"}
+        assert plain["detection_probability"] == MarkovSpatialAnalysis(
+            scenario, body_truncation=1, head_truncation=1, substeps=1
+        ).detection_probability()
+        swept = approximate_simulate(
+            canonicalize_simulate(
+                {
+                    "scenario": SCENARIO,
+                    "trials": 10,
+                    "sweep": {"parameter": "threshold", "values": [1, 3]},
+                }
+            )
+        )
+        assert set(swept) == {"parameter", "rows", "scenario", "approximation"}
+        grid = MarkovSpatialAnalysis(
+            scenario, body_truncation=1, substeps=1
+        ).detection_probability_grid(thresholds=[1, 3])
+        assert [row["detection_probability"] for row in swept["rows"]] == [
+            float(value) for value in grid[0]
+        ]
 
     def test_sweep_rows_match_fused_engine(self):
         from repro.core.scenario import Scenario

@@ -263,6 +263,19 @@ class TestAnalyticalGridSweep:
         resumed = analytical_grid_sweep(scenario, grids, checkpoint=str(path))
         assert resumed == rows
 
+    def test_resumed_whole_runs_no_engine_pass(self, scenario, tmp_path):
+        from repro import obs
+
+        path = str(tmp_path / "ck.json")
+        grids = {"num_sensors": [20, 40], "threshold": [1, 2]}
+        first = analytical_grid_sweep(scenario, grids, checkpoint=path)
+        with obs.instrument() as ob:
+            resumed = analytical_grid_sweep(scenario, grids, checkpoint=path)
+            counters = ob.manifest()["counters"]
+        assert resumed == first
+        assert counters["sweep.points_from_checkpoint"] == 4
+        assert "batch.points" not in counters
+
     def test_fallback_on_non_batchable_axis(self, scenario):
         rows = analytical_grid_sweep(
             scenario, {"detect_prob": [0.5, 0.9], "threshold": [2]}
@@ -283,6 +296,12 @@ class TestAnalyticalGridSweep:
             analytical_grid_sweep(scenario, {"bogus": [1]})
         with pytest.raises(AnalysisError, match="at least one"):
             analytical_grid_sweep(scenario, {})
+
+    def test_derived_property_axis_rejected(self, scenario):
+        """``ms`` is a Scenario property, not a field: refused up front
+        rather than failing inside the engine."""
+        with pytest.raises(AnalysisError, match="unknown scenario field"):
+            analytical_grid_sweep(scenario, {"ms": [3]})
 
     def test_per_point_path_supports_workers(self, scenario):
         grids = {"num_sensors": [20, 40], "threshold": [1, 2]}
@@ -319,3 +338,60 @@ class TestAnalyticalGridSweep:
         assert counters["batch.points"] == 6
         assert counters["batch.fallbacks"] == 2
         assert counters["sweep.points"] == 6
+
+
+class TestCheckpointIdentity:
+    """A checkpoint resumes only the sweep that wrote it: the identity of
+    a scenario sweep is its points plus its spec, dispatch path included."""
+
+    GRIDS = {"num_sensors": [20, 40], "threshold": [1, 2]}
+    MC_GRIDS = {"num_sensors": [6, 10]}
+
+    def test_other_scenario_refused(self, small, tmp_path):
+        path = str(tmp_path / "ck.json")
+        analytical_grid_sweep(small, self.GRIDS, checkpoint=path)
+        other = small.replace(detect_prob=0.5)
+        with pytest.raises(SimulationError, match="different sweep"):
+            analytical_grid_sweep(other, self.GRIDS, checkpoint=path)
+
+    def test_other_body_truncation_refused(self, small, tmp_path):
+        path = str(tmp_path / "ck.json")
+        analytical_grid_sweep(small, self.GRIDS, checkpoint=path)
+        with pytest.raises(SimulationError, match="different sweep"):
+            analytical_grid_sweep(
+                small, self.GRIDS, body_truncation=1, checkpoint=path
+            )
+
+    def test_per_point_refuses_fused_checkpoint(self, small, tmp_path):
+        from repro.experiments.sweeps import simulated_grid_sweep
+
+        path = str(tmp_path / "ck.json")
+        simulated_grid_sweep(
+            small, self.MC_GRIDS, trials=200, seed=7, checkpoint=path
+        )
+        with pytest.raises(SimulationError, match="different sweep"):
+            simulated_grid_sweep(
+                small,
+                self.MC_GRIDS,
+                trials=200,
+                seed=7,
+                fused=False,
+                checkpoint=path,
+            )
+
+    def test_other_fused_shard_count_refused(self, small, tmp_path):
+        from repro.experiments.sweeps import simulated_grid_sweep
+
+        path = str(tmp_path / "ck.json")
+        simulated_grid_sweep(
+            small, self.MC_GRIDS, trials=40, seed=7, checkpoint=path
+        )
+        with pytest.raises(SimulationError, match="different sweep"):
+            simulated_grid_sweep(
+                small,
+                self.MC_GRIDS,
+                trials=40,
+                seed=7,
+                workers=2,
+                checkpoint=path,
+            )
